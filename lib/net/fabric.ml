@@ -227,17 +227,24 @@ let pick_qp t =
   done;
   !best
 
-(* The [_raw] layer does the queueing/accounting but emits no port
-   event: the fault-injecting wrappers adjust the completion time
-   after the fact (Late/Duplicate) and must emit the final record
-   themselves, exactly once. *)
-let fetch_info_raw ~scale t ~now ~bytes =
+(* Queue a request issued at [now] on inbound queue pair [qp]; returns
+   when the QP picks it up, with the wait charged to the inbound
+   queueing counters. *)
+let inbound_start t ~now qp =
   check_in_now t now;
-  let qp = pick_qp t in
   let start = max now t.in_busy_until.(qp) in
   let queued = start - now in
   t.queue_in_cycles <- t.queue_in_cycles + queued;
   t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
+  start
+
+(* The [_raw] layer does the queueing/accounting but emits no port
+   event: the fault-injecting wrappers adjust the completion time
+   after the fact (Late/Duplicate) and must emit the final record
+   themselves, exactly once. *)
+let fetch_raw ~scale t ~now ~bytes =
+  let qp = pick_qp t in
+  let start = inbound_start t ~now qp in
   let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
   let ser = scale_cycles scale.s_wire (serialization t.cfg bytes) in
   (* The protocol cost is per-request work (doorbells, completion
@@ -247,63 +254,55 @@ let fetch_info_raw ~scale t ~now ~bytes =
   t.in_busy_until.(qp) <- start + proto + ser;
   t.fetches <- t.fetches + 1;
   t.fetched_bytes <- t.fetched_bytes + bytes;
-  { t_start = start; t_queued = queued;
+  { t_start = start; t_queued = start - now;
     t_complete = start + proto + ser; t_qp = qp;
     t_proto = proto; t_ser = ser; t_fault = None }
-
-let fetch_info ?(scale = unit_scale) t ~now ~bytes =
-  let tr = fetch_info_raw ~scale t ~now ~bytes in
-  emit_transfer t ~now ~count:1 ~bytes tr;
-  tr
-
-let fetch ?scale t ~now ~bytes = (fetch_info ?scale t ~now ~bytes).t_complete
 
 (* A transient failure crosses the wire and comes back as a NACK: the
    queue pair is held for the protocol turnaround, nothing lands, and
    the caller decides whether to retry. *)
 let transient_failure t ~scale ~now =
-  check_in_now t now;
   let qp = pick_qp t in
-  let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
+  let start = inbound_start t ~now qp in
   let fail = start + scale_cycles scale.s_proto t.cfg.proto_cycles in
   t.in_busy_until.(qp) <- fail;
   t.faults_transient <- t.faults_transient + 1;
   t.failed_fetches <- t.failed_fetches + 1;
   { f_start = start; f_fail = fail; f_qp = qp }
 
+(* A Late or Duplicate fault perturbs a request that did complete
+   (fault-free and Transient attempts pass through untouched):
+   - Late is congestion: the response crawls, and the queue pair stays
+     tied up until the late completion.  The delay rides in [t_ser] so
+     [t_queued + t_proto + t_ser = t_complete - now] still holds for
+     callers that wait the transfer out.
+   - Duplicate: the data lands on time, but a duplicated completion
+     occupies the queue pair for another protocol turn — timing-only:
+     the caller deduplicates by construction (the object is marked
+     resident exactly once). *)
+let perturb t ~scale fault tr =
+  match fault with
+  | Some Late ->
+    let extra = late_extra t ~scale in
+    t.faults_late <- t.faults_late + 1;
+    t.in_busy_until.(tr.t_qp) <- tr.t_complete + extra;
+    { tr with t_complete = tr.t_complete + extra;
+              t_ser = tr.t_ser + extra; t_fault = Some Late }
+  | Some Duplicate ->
+    t.faults_dup <- t.faults_dup + 1;
+    t.in_busy_until.(tr.t_qp)
+      <- tr.t_complete + scale_cycles scale.s_proto t.cfg.proto_cycles;
+    { tr with t_fault = Some Duplicate }
+  | None | Some Transient -> tr
+
 let fetch_attempt ?(scale = unit_scale) t ~now ~bytes =
   match draw_fault t with
-  | None -> Ok (fetch_info ~scale t ~now ~bytes)
   | Some Transient ->
     let f = transient_failure t ~scale ~now in
     emit_failure t ~now ~count:1 ~bytes f;
     Error f
-  | Some Late ->
-    let tr = fetch_info_raw ~scale t ~now ~bytes in
-    let extra = late_extra t ~scale in
-    t.faults_late <- t.faults_late + 1;
-    (* Congestion: the response crawls, and the queue pair stays tied
-       up until the late completion.  The delay rides in [t_ser] so
-       [t_queued + t_proto + t_ser = t_complete - now] still holds for
-       callers that wait the transfer out. *)
-    t.in_busy_until.(tr.t_qp) <- tr.t_complete + extra;
-    let tr = { tr with t_complete = tr.t_complete + extra;
-                       t_ser = tr.t_ser + extra; t_fault = Some Late } in
-    emit_transfer t ~now ~count:1 ~bytes tr;
-    Ok tr
-  | Some Duplicate ->
-    let tr = fetch_info_raw ~scale t ~now ~bytes in
-    t.faults_dup <- t.faults_dup + 1;
-    (* The data lands on time, but a duplicated completion occupies the
-       queue pair for another protocol turn — timing-only: the caller
-       deduplicates by construction (the object is marked resident
-       exactly once). *)
-    t.in_busy_until.(tr.t_qp)
-      <- tr.t_complete + scale_cycles scale.s_proto t.cfg.proto_cycles;
-    let tr = { tr with t_fault = Some Duplicate } in
+  | fault ->
+    let tr = perturb t ~scale fault (fetch_raw ~scale t ~now ~bytes) in
     emit_transfer t ~now ~count:1 ~bytes tr;
     Ok tr
 
@@ -312,12 +311,8 @@ let fetch_attempt ?(scale = unit_scale) t ~now ~bytes =
    one-sided reads) that pays the protocol cost twice and never
    faults.  Guarantees forward progress at any fault rate. *)
 let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
-  check_in_now t now;
   let qp = pick_qp t in
-  let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
+  let start = inbound_start t ~now qp in
   let ser = scale_cycles scale.s_wire (serialization t.cfg bytes) in
   let proto = 2 * scale_cycles scale.s_proto t.cfg.proto_cycles in
   t.in_busy_until.(qp) <- start + proto + ser;
@@ -325,7 +320,7 @@ let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
   t.fetched_bytes <- t.fetched_bytes + bytes;
   t.reliable_fetches <- t.reliable_fetches + 1;
   let tr =
-    { t_start = start; t_queued = queued; t_complete = start + proto + ser;
+    { t_start = start; t_queued = start - now; t_complete = start + proto + ser;
       t_qp = qp; t_proto = proto; t_ser = ser; t_fault = None }
   in
   emit_transfer t ~now ~count:1 ~bytes tr;
@@ -333,13 +328,8 @@ let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
 
 let fetch_many_raw ~scale t ~now ~sizes =
   let n = Array.length sizes in
-  if n = 0 then invalid_arg "Fabric.fetch_many: empty batch";
-  check_in_now t now;
   let qp = pick_qp t in
-  let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
+  let start = inbound_start t ~now qp in
   let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
   (* One request/response pair carries the whole batch: the protocol
      overhead is paid once, each object lands as soon as its bytes have
@@ -360,48 +350,29 @@ let fetch_many_raw ~scale t ~now ~sizes =
   t.fetched_bytes <- t.fetched_bytes + !total;
   t.batches <- t.batches + 1;
   t.batched_objects <- t.batched_objects + n;
-  ({ t_start = start; t_queued = queued;
+  ({ t_start = start; t_queued = start - now;
      t_complete = completions.(n - 1); t_qp = qp;
      t_proto = proto; t_ser = !cum; t_fault = None },
    completions)
 
-let batch_bytes sizes = Array.fold_left ( + ) 0 sizes
-
-let fetch_many ?(scale = unit_scale) t ~now ~sizes =
-  let (tr, completions) = fetch_many_raw ~scale t ~now ~sizes in
-  emit_transfer t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes) tr;
-  (tr, completions)
-
 let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes =
+  let count = Array.length sizes in
+  if count = 0 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
+  let bytes = Array.fold_left ( + ) 0 sizes in
   match draw_fault t with
-  | None -> Ok (fetch_many ~scale t ~now ~sizes)
   | Some Transient ->
-    if Array.length sizes = 0 then
-      invalid_arg "Fabric.fetch_many_attempt: empty batch";
     let f = transient_failure t ~scale ~now in
-    emit_failure t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes) f;
+    emit_failure t ~now ~count ~bytes f;
     Error f
-  | Some Late ->
-    let tr, completions = fetch_many_raw ~scale t ~now ~sizes in
-    let extra = late_extra t ~scale in
-    t.faults_late <- t.faults_late + 1;
-    (* The whole response stream is delayed behind the congested
-       request: every object in the batch lands [extra] cycles late. *)
-    Array.iteri (fun i c -> completions.(i) <- c + extra) completions;
-    t.in_busy_until.(tr.t_qp) <- tr.t_complete + extra;
-    let tr = { tr with t_complete = tr.t_complete + extra;
-                       t_ser = tr.t_ser + extra; t_fault = Some Late } in
-    emit_transfer t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes)
-      tr;
-    Ok (tr, completions)
-  | Some Duplicate ->
-    let tr, completions = fetch_many_raw ~scale t ~now ~sizes in
-    t.faults_dup <- t.faults_dup + 1;
-    t.in_busy_until.(tr.t_qp)
-      <- tr.t_complete + scale_cycles scale.s_proto t.cfg.proto_cycles;
-    let tr = { tr with t_fault = Some Duplicate } in
-    emit_transfer t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes)
-      tr;
+  | fault ->
+    let raw, completions = fetch_many_raw ~scale t ~now ~sizes in
+    let tr = perturb t ~scale fault raw in
+    (* A late response stream delays every object in the batch by the
+       same congestion term. *)
+    let extra = tr.t_complete - raw.t_complete in
+    if extra <> 0 then
+      Array.iteri (fun i c -> completions.(i) <- c + extra) completions;
+    emit_transfer t ~now ~count ~bytes tr;
     Ok (tr, completions)
 
 (* Writeback faults never reach the caller: posted writes are

@@ -14,7 +14,7 @@
       transfers serialize behind earlier ones on the same QP, so deep
       prefetch windows genuinely contend with demand fetches — but a
       second QP lets a demand fault slip past a streaming window;
-    - batching ({!fetch_many}): a run of objects coalesced into one
+    - batching ({!fetch_many_attempt}): a run of objects coalesced into one
       request pays [proto_cycles] once plus the summed serialization —
       the RPC-aggregation effect that makes prefetching amortize
       anything at all;
@@ -105,15 +105,6 @@ val set_fault_rate : t -> float -> unit
 val faults_configured : t -> bool
 (** True when the fabric was created with a non-zero fault rate. *)
 
-val fetch : ?scale:scale -> t -> now:int -> bytes:int -> int
-(** Schedule an inbound transfer starting at [now]; returns its
-    completion time (≥ [now + proto + serialization]).  Never faulted
-    (fault injection applies to the [_attempt] entry points).
-    [scale] (default {!unit_scale}) multiplies the protocol and wire
-    terms for this call.
-    @raise Invalid_argument when [now] precedes an earlier inbound
-    call's [now] (clock moved backwards; see {!fetch_attempt}). *)
-
 type transfer = {
   t_start : int;     (** when a queue pair picked the transfer up *)
   t_queued : int;    (** [t_start - now]: cycles spent waiting in line *)
@@ -159,43 +150,39 @@ val set_port : t -> (port_event -> unit) option -> unit
     callback sees every event but cannot perturb timing or stats —
     [None] (the default) is bit-identical to any installed observer. *)
 
-val fetch_info : ?scale:scale -> t -> now:int -> bytes:int -> transfer
-(** Like {!fetch}, but exposes the queue/protocol/serialization split
-    ([t_queued + t_proto + t_ser = t_complete - now]) so callers (the
-    runtime's cycle-attribution profiler and the stall-attribution
-    ledger) can decompose stall cycles into root causes instead of
-    reporting one opaque fetch cost. *)
-
 val fetch_attempt :
   ?scale:scale -> t -> now:int -> bytes:int -> (transfer, failure) result
-(** {!fetch_info} through the fault injector: one fault decision is
-    drawn per attempt.  [Error] is a transient failure (retry at a
-    later [now] if desired); [Ok] transfers may still carry a [Late]
-    or [Duplicate] fault in [t_fault].  With the rate at 0 this is
-    exactly [Ok (fetch_info ...)] and consults no randomness.
+(** Schedule an inbound transfer of [bytes] issued at [now] on the
+    least-loaded queue pair.  [Ok] carries the completion time and its
+    queue/protocol/serialization split
+    ([t_queued + t_proto + t_ser = t_complete - now]), which the
+    runtime's stall-attribution ledger charges as separate root
+    causes.  [scale] (default {!unit_scale}) multiplies the protocol
+    and wire terms for this call.
+
+    One fault decision is drawn per attempt.  [Error] is a transient
+    failure (retry at a later [now] if desired); [Ok] transfers may
+    still carry a [Late] or [Duplicate] fault in [t_fault].  With the
+    rate at 0 this is always [Ok], fault-free, and consults no
+    randomness.
 
     Retried attempts MUST re-enter at a non-decreasing [now]: the
     fabric raises [Invalid_argument] when the inbound clock moves
     backwards rather than corrupting queue state. *)
 
-val fetch_many :
-  ?scale:scale -> t -> now:int -> sizes:int array -> transfer * int array
+val fetch_many_attempt :
+  ?scale:scale -> t -> now:int -> sizes:int array ->
+  (transfer * int array, failure) result
 (** Coalesce a batch of objects into one request on the least-loaded
     queue pair.  The protocol cost is paid once; object [i] completes
     at [start + proto + Σ serialization sizes.(0..i)] (returned in the
     array, index-aligned with [sizes]), and the QP stays busy for the
     summed serialization only.  Counts one batch and [n] fetches in
-    {!stats}.  Never faulted; raises on a backwards [now] like
-    {!fetch_info}.
-    @raise Invalid_argument on an empty batch. *)
+    {!stats}.
 
-val fetch_many_attempt :
-  ?scale:scale -> t -> now:int -> sizes:int array ->
-  (transfer * int array, failure) result
-(** {!fetch_many} through the fault injector: one decision for the
-    whole request (it is one request on the wire).  A transient fault
-    NACKs the entire batch; a late fault delays every completion in it
-    by the same congestion term.
+    One fault decision covers the whole request (it is one request on
+    the wire).  A transient fault NACKs the entire batch; a late fault
+    delays every completion in it by the same congestion term.
     @raise Invalid_argument on an empty batch or a backwards [now]. *)
 
 val fetch_reliable : ?scale:scale -> t -> now:int -> bytes:int -> transfer

@@ -1,8 +1,10 @@
 (** Stall root-cause attribution.
 
-    The cycle-attribution profiler ({!Profile}) answers {e how much}
-    time each structure stalled; this ledger answers {e why}: every
-    stalled CPU cycle is charged to exactly one root cause —
+    This ledger is the only record of stall cycles.  The
+    cycle-attribution profiler ({!Profile}) groups it into coarser
+    buckets to answer {e how much} time each structure stalled; the
+    ledger answers {e why}: every stalled CPU cycle is charged to
+    exactly one root cause —
 
     - {!Proto}: per-request protocol overhead (doorbells, completion
       polling, bookkeeping) plus address-to-object mapping;

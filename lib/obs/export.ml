@@ -560,7 +560,7 @@ let latency_percentiles_table ?(title = "Fetch latency percentiles") ~names prof
              @ [ Table.fmt_cycles (Cards_util.Stats.max lat) ]))
   in
   List.iter
-    (fun h -> row (names h) (Profile.latency (Profile.buckets prof h)))
+    (fun h -> row (names h) (Profile.latency prof h))
     (Profile.handles prof);
   row "ALL" (Profile.merged_latency prof);
   t

@@ -3,15 +3,20 @@
     Splits the run's total simulated cycles into buckets, per data
     structure (handle [0] = unmanaged segment / runtime bookkeeping
     not tied to one structure), plus one global compute bucket fed by
-    the interpreter's instruction charges.  The runtime attributes
-    {e every} clock advance to exactly one bucket, so
+    the interpreter's instruction charges.
+
+    The stall buckets are not stored here: they are a read-only,
+    coarser grouping of the {!Attribution} ledger's causes, which the
+    runtime's one clock-advance primitive writes.  The compute counter
+    is kept independently, so
 
     {[ compute + Σ_handles wall(buckets) = Runtime.now ]}
 
-    holds exactly — the invariant [test/test_obs.ml] asserts and the
-    property that makes "where did the cycles go" answerable without
-    double counting.  Attribution never touches the clock itself, so
-    profiled and unprofiled runs report identical cycle counts.
+    is a real check — a clock advance that bypasses the ledger breaks
+    it — and the property that makes "where did the cycles go"
+    answerable without double counting.  Attribution never touches the
+    clock itself, so profiled and unprofiled runs report identical
+    cycle counts.
 
     Also collects per-structure fetch-latency distributions
     (demand-fault stalls and late-prefetch waits) in bounded-memory
@@ -20,33 +25,50 @@
     samples. *)
 
 type buckets = {
-  mutable p_guard : int;
-      (** guard executions: custody checks + local hit/miss cost *)
-  mutable p_demand : int;
-      (** demand-fetch stall: protocol + wire + mapping cycles *)
-  mutable p_queue : int;
-      (** demand-fetch cycles spent queued behind other transfers *)
-  mutable p_pf_stall : int;
-      (** stalls waiting on late (in-flight) prefetches *)
-  mutable p_retry : int;
+  p_guard : int;
+      (** guard executions: custody checks + local hit/miss cost
+          ({!Attribution.Guard_exec}) *)
+  p_demand : int;
+      (** demand-fetch stall: protocol + wire + mapping cycles
+          ({!Attribution.Proto} + {!Attribution.Wire}) *)
+  p_queue : int;
+      (** demand-fetch cycles spent queued behind other transfers
+          (Σ {!Attribution.Queue} over every queue pair) *)
+  p_pf_stall : int;
+      (** stalls waiting on late (in-flight) prefetches
+          ({!Attribution.Pf_wait}) *)
+  p_retry : int;
       (** failed fetch attempts, backoff waits, and reliable-channel
-          escalations under fault injection (zero when faults are off) *)
-  mutable p_trap : int;
-      (** clean-fault trap penalties on unguarded paths *)
-  mutable p_alloc : int;
-      (** ds_init / dsalloc / loop-check bookkeeping *)
-  mutable p_hidden : int;
+          escalations under fault injection (zero when faults are off;
+          {!Attribution.Retry}) *)
+  p_trap : int;
+      (** clean-fault trap penalties on unguarded paths
+          ({!Attribution.Trap}) *)
+  p_alloc : int;
+      (** ds_init / dsalloc / loop-check bookkeeping
+          ({!Attribution.Bookkeeping}) *)
+  p_hidden : int;
       (** {e informational}, not wall-clock: fetch latency hidden by
           timely prefetches (what demand faults would have cost) *)
-  lat : Cards_util.Stats.t;  (** fetch-latency distribution *)
 }
+(** One handle's view, computed on demand from the ledger. *)
 
 type t
 
-val create : unit -> t
+type ds
+(** One registered structure's own records: its fetch-latency
+    histogram and hidden-latency counter. *)
+
+val create : Attribution.t -> t
+(** A profiler viewing [attr]'s stall charges.  Handle [0] is
+    registered from the start. *)
+
+val register : t -> int -> ds
+(** Register a handle (idempotent) and return its records. *)
 
 val buckets : t -> int -> buckets
-(** Bucket record for a handle, auto-created. *)
+(** One handle's buckets, grouped from
+    {!Attribution.ds_cause_totals}. *)
 
 val add_compute : t -> int -> unit
 (** Charge interpreter/compute cycles (the residual category). *)
@@ -60,18 +82,22 @@ val attributed : t -> int
 (** [compute + Σ wall] over all handles; equals the runtime clock. *)
 
 val handles : t -> int list
+(** Registered handles, ascending. *)
 
-val record_latency : buckets -> int -> unit
-(** Add one fetch latency (cycles) to the handle's distribution. *)
+val record_latency : ds -> int -> unit
+(** Add one fetch latency (cycles) to the structure's distribution. *)
 
-val latency : buckets -> Cards_util.Stats.t
-(** One handle's fetch-latency distribution (percentiles, count). *)
+val add_hidden : ds -> int -> unit
+(** Credit latency a timely prefetch hid ({!buckets}' [p_hidden]). *)
+
+val latency : t -> int -> Cards_util.Stats.t
+(** One handle's fetch-latency distribution (percentiles, count);
+    empty for an unregistered handle. *)
 
 val merged_latency : t -> Cards_util.Stats.t
 (** The latency distribution merged over all handles (bucket-wise). *)
 
 val merged_hist : t -> int array
 (** Octave (log₂) view of {!merged_latency}: bucket [i] counts
-    latencies in [2^i, 2^(i+1)).  Length {!hist_buckets}. *)
-
-val hist_buckets : int
+    latencies in [2^i, 2^(i+1)).  Length
+    {!Cards_util.Stats.log2_buckets}. *)

@@ -148,7 +148,7 @@ type ds = {
   mutable pf_switches : int;
   scale : Fabric.scale;           (* what-if cost scale, fixed at init *)
   st : Rt_stats.ds;
-  prof : Profile.buckets;         (* cycle-attribution buckets *)
+  prof : Profile.ds;              (* fetch-latency histogram *)
 }
 
 type t = {
@@ -186,8 +186,7 @@ type t = {
   mutable degrade_cooldown : int; (* outcomes to wait between steps *)
   stats : Rt_stats.t;
   obs : Sink.t;
-  prof : Profile.t;
-  prof0 : Profile.buckets;        (* handle-0 bucket, cached off the hot path *)
+  prof : Profile.t;               (* a view over [attr] plus compute *)
   attr : Attribution.t;
   (* Current access site (function, block, instruction), stamped by the
      interpreter before each runtime-entering instruction so stall
@@ -244,7 +243,7 @@ let create ?(obs = Sink.null) cfg infos =
   List.iter
     (fun (n, s) -> check_scale ("ds_cost_scales." ^ n) s)
     cfg.ds_cost_scales;
-  let prof = Profile.create () in
+  let attr = Attribution.create () in
   let fabric = Fabric.create cfg.fabric_config in
   { cfg;
     pinned_budget = cfg.local_bytes - cfg.remotable_bytes;
@@ -268,9 +267,8 @@ let create ?(obs = Sink.null) cfg infos =
     degrade_cooldown = 0;
     stats = Rt_stats.create ();
     obs;
-    prof;
-    prof0 = Profile.buckets prof 0;
-    attr = Attribution.create ();
+    prof = Profile.create attr;
+    attr;
     site_fn = Attribution.unknown_site.Attribution.s_fn;
     site_block = Attribution.unknown_site.Attribution.s_block;
     site_instr = Attribution.unknown_site.Attribution.s_instr;
@@ -279,26 +277,22 @@ let create ?(obs = Sink.null) cfg infos =
 
 let now t = t.clock
 
-(* Every clock advance is attributed to exactly one profiler bucket, so
-   [Profile.attributed t.prof = t.clock] holds at all times (the
-   invariant test/test_obs.ml asserts).  [charge] is the public
-   interpreter entry point and feeds the compute bucket; internal
-   runtime costs advance the clock with [spend] and attribute the same
-   cycles to a specific bucket at the call site.  Attribution never
+(* The clock advances in exactly two places.  [charge] is the public
+   interpreter entry point and feeds the profiler's compute counter;
+   [stall] is every internal runtime cost, charged to one root cause
+   in the attribution ledger at the current access site.  The
+   profiler's stall buckets are a view of that ledger, so
+   [Profile.attributed t.prof = t.clock] and
+   [Attribution.total t.attr = t.clock - Profile.compute t.prof] hold
+   at all times (the invariants the tests assert).  Neither record
    feeds back into the clock, so profiled and unprofiled runs produce
    bit-identical cycle counts. *)
 let charge t c =
   t.clock <- t.clock + c;
   Profile.add_compute t.prof c
 
-let spend t c = t.clock <- t.clock + c
-
-(* Every [spend] pairs with one ledger charge: the same cycles, the
-   same call site, one root cause — so [Attribution.total t.attr]
-   equals [t.clock - Profile.compute t.prof] at all times (the stall
-   side of the attribution invariant).  Like the profiler, the ledger
-   is write-only with respect to the clock. *)
-let attr_charge t ~ds cause c =
+let stall t ~ds cause c =
+  t.clock <- t.clock + c;
   Attribution.charge t.attr ~ds ~fn:t.site_fn ~block:t.site_block
     ~instr:t.site_instr cause c
 
@@ -506,10 +500,7 @@ let ds_init t ~sid =
   let info = t.infos.(sid) in
   let handle = Vec.length t.dss + 1 in
   if handle > Addr.max_handle then fail "too many data structures";
-  let prof = Profile.buckets t.prof handle in
-  spend t t.cfg.cost.ds_init;
-  prof.Profile.p_alloc <- prof.Profile.p_alloc + t.cfg.cost.ds_init;
-  attr_charge t ~ds:handle Attribution.Bookkeeping t.cfg.cost.ds_init;
+  stall t ~ds:handle Attribution.Bookkeeping t.cfg.cost.ds_init;
   let pf, candidates =
     let depth = info_prefetch_depth t info in
     match t.cfg.prefetch_mode with
@@ -561,7 +552,7 @@ let ds_init t ~sid =
          | Some s -> s
          | None -> t.cfg.cost_scale);
       st = Rt_stats.ds_stats t.stats handle;
-      prof }
+      prof = Profile.register t.prof handle }
   in
   ignore (Vec.push t.dss d);
   handle
@@ -573,10 +564,10 @@ let alloc_unmanaged t ~size =
   Addr.unmanaged ~offset:off
 
 let ds_alloc t ~handle ~size =
-  spend t t.cfg.cost.ds_alloc;
-  let ab = if handle = 0 then t.prof0 else (get_ds t handle).prof in
-  ab.Profile.p_alloc <- ab.Profile.p_alloc + t.cfg.cost.ds_alloc;
-  attr_charge t ~ds:handle Attribution.Bookkeeping t.cfg.cost.ds_alloc;
+  (* The handle is checked before anything is charged: a call that
+     traps on a bad handle must not advance the clock. *)
+  if handle <> 0 then ignore (get_ds t handle);
+  stall t ~ds:handle Attribution.Bookkeeping t.cfg.cost.ds_alloc;
   if size <= 0 then fail "dsalloc: non-positive size %d" size;
   if handle = 0 then alloc_unmanaged t ~size
   else begin
@@ -719,12 +710,6 @@ let emit_qp_busy t ~ds ~obj (tr : Fabric.transfer) =
 
 (* ---------- fault-rate tracking and graceful degradation ---------- *)
 
-let emit_fault_inject t ~ds ~obj kind =
-  if Sink.tracing t.obs then
-    Sink.emit t.obs
-      (Event.make ~cycle:t.clock ~ds ~obj
-         (Event.Fault_inject { kind = Fabric.fault_kind_name kind }))
-
 (* Record one transfer-attempt outcome in the sliding window and move
    the degradation level when the observed rate has crossed a
    threshold.  Pure bookkeeping: never touches the clock, so the
@@ -759,6 +744,17 @@ let note_fault_outcome t faulted =
     end
   end
 
+(* One transfer attempt's outcome: into the degradation window, and
+   onto the trace when a fault was injected into it. *)
+let note_transfer t ~ds ~obj fault =
+  note_fault_outcome t (fault <> None);
+  match fault with
+  | Some kind when Sink.tracing t.obs ->
+    Sink.emit t.obs
+      (Event.make ~cycle:t.clock ~ds ~obj
+         (Event.Fault_inject { kind = Fabric.fault_kind_name kind }))
+  | _ -> ()
+
 (* Effective prefetch fan-out after degradation: each step halves the
    structure's configured depth (its byte-derived depth in byte-budget
    mode, so degradation also operates on the wire budget); at zero the
@@ -786,29 +782,27 @@ let prefetch_span t (td : ds) o (tr : Fabric.transfer) =
     id
   | _ -> -1
 
+(* Prefetch one viable object [o] of [td] as its own request. *)
+let prefetch_one t (d : ds) ~origin_obj (td : ds) o =
+  match Fabric.fetch_attempt t.fabric ~scale:td.scale ~now:t.clock ~bytes:(obj_size td) with
+  | Error _ ->
+    (* Prefetches are speculative: a NACKed one is simply dropped —
+       the demand path re-fetches the object if it is ever needed.
+       The CPU never waited, so no cycles are spent or attributed. *)
+    Rt_stats.note_pf_failed t.stats;
+    note_transfer t ~ds:td.handle ~obj:o (Some Fabric.Transient)
+  | Ok tr ->
+    td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
+    note_transfer t ~ds:td.handle ~obj:o tr.Fabric.t_fault;
+    emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
+    let span = prefetch_span t td o tr in
+    mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
+      ~span
+
 let issue_prefetch t (d : ds) ~origin_obj (tg : Prefetcher.target) =
-  match prefetch_viable t tg d with
-  | None -> ()
-  | Some (td, o) -> (
-    match Fabric.fetch_attempt t.fabric ~scale:td.scale ~now:t.clock ~bytes:(obj_size td) with
-    | Error _ ->
-      (* Prefetches are speculative: a NACKed one is simply dropped —
-         the demand path re-fetches the object if it is ever needed.
-         The CPU never waited, so no cycles are spent or attributed. *)
-      Rt_stats.note_pf_failed t.stats;
-      note_fault_outcome t true;
-      emit_fault_inject t ~ds:td.handle ~obj:o Fabric.Transient
-    | Ok tr ->
-      td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
-      (match tr.Fabric.t_fault with
-       | Some k ->
-         note_fault_outcome t true;
-         emit_fault_inject t ~ds:td.handle ~obj:o k
-       | None -> note_fault_outcome t false);
-      emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
-      let span = prefetch_span t td o tr in
-      mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
-        ~span)
+  Option.iter
+    (fun (td, o) -> prefetch_one t d ~origin_obj td o)
+    (prefetch_viable t tg d)
 
 (* Batched issue: everything one prefetcher call produced — expanded
    runs and cross-structure fanout alike — goes to the fabric as a
@@ -828,41 +822,20 @@ let issue_prefetch_batch t (d : ds) ~origin_obj targets =
   in
   match viable with
   | [] -> ()
-  | [ (td, o) ] -> (
-    match Fabric.fetch_attempt t.fabric ~scale:td.scale ~now:t.clock ~bytes:(obj_size td) with
-    | Error _ ->
-      Rt_stats.note_pf_failed t.stats;
-      note_fault_outcome t true;
-      emit_fault_inject t ~ds:td.handle ~obj:o Fabric.Transient
-    | Ok tr ->
-      td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
-      (match tr.Fabric.t_fault with
-       | Some k ->
-         note_fault_outcome t true;
-         emit_fault_inject t ~ds:td.handle ~obj:o k
-       | None -> note_fault_outcome t false);
-      emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
-      let span = prefetch_span t td o tr in
-      mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
-        ~span)
+  | [ (td, o) ] -> prefetch_one t d ~origin_obj td o
   | items -> (
     let sizes = Array.of_list (List.map (fun (td, _) -> obj_size td) items) in
     match Fabric.fetch_many_attempt t.fabric ~scale:d.scale ~now:t.clock ~sizes with
     | Error _ ->
       (* The whole coalesced request was NACKed: every target dropped. *)
       Rt_stats.note_pf_failed t.stats;
-      note_fault_outcome t true;
-      emit_fault_inject t ~ds:d.handle ~obj:origin_obj Fabric.Transient
+      note_transfer t ~ds:d.handle ~obj:origin_obj (Some Fabric.Transient)
     | Ok (tr, completions) ->
       List.iter
         (fun ((td : ds), _) ->
           td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td)
         items;
-      (match tr.Fabric.t_fault with
-       | Some k ->
-         note_fault_outcome t true;
-         emit_fault_inject t ~ds:d.handle ~obj:origin_obj k
-       | None -> note_fault_outcome t false);
+      note_transfer t ~ds:d.handle ~obj:origin_obj tr.Fabric.t_fault;
       emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
       if Sink.tracing t.obs then
         Sink.emit t.obs
@@ -1039,9 +1012,7 @@ let settle_inflight t (d : ds) o =
     d.objs.(o) <- st land lnot b_inflight;
     if wait > 0 then begin
       let start = t.clock in
-      spend t wait;
-      d.prof.Profile.p_pf_stall <- d.prof.Profile.p_pf_stall + wait;
-      attr_charge t ~ds:d.handle Attribution.Pf_wait wait;
+      stall t ~ds:d.handle Attribution.Pf_wait wait;
       Profile.record_latency d.prof wait;
       d.st.prefetch_late <- d.st.prefetch_late + 1;
       if Sink.tracing t.obs then
@@ -1088,18 +1059,16 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
   let escalated = ref false in
   (* Cycles burned off the happy path — NACK turnarounds, abandoned
      late completions, backoff waits — are real CPU stall and land in
-     their own profiler bucket and ledger cause, so the exactness
-     invariants keep holding under any fault rate. *)
-  let retry_spend c =
+     their own ledger cause, so the exactness invariants keep holding
+     under any fault rate. *)
+  let retry_stall c =
     if c > 0 then begin
-      spend t c;
-      d.prof.Profile.p_retry <- d.prof.Profile.p_retry + c;
-      attr_charge t ~ds:d.handle Attribution.Retry c;
+      stall t ~ds:d.handle Attribution.Retry c;
       att_retry := !att_retry + c
     end
   in
   (* Close one failed attempt as a Retry span: every cycle
-     [retry_spend] charged since the previous flush, which is exactly
+     [retry_stall] charged since the previous flush, which is exactly
      the ledger's Retry charges — the reconciliation is per-cycle. *)
   let flush_retry () =
     (match sc with
@@ -1115,35 +1084,28 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
     att_fault := None;
     att_start := t.clock
   in
-  (* The attempt that delivered the data: its queued + proto + ser
-     (+ mapping) decomposition accounts for this clock advance exactly,
-     as in the fault-free path. *)
+  (* The attempt that delivered the data, issued at the current
+     clock: its queued + proto + ser split adds up to the fabric's
+     [t_complete - now] exactly, and address-to-object mapping rides
+     with the protocol overhead. *)
   let finish (tr : Fabric.transfer) =
-    let anow = t.clock in
-    t.clock <- tr.Fabric.t_complete + t.cfg.cost.deref_map;
-    let attempt_stall = t.clock - anow in
     let queued = tr.Fabric.t_queued in
-    d.prof.Profile.p_queue <- d.prof.Profile.p_queue + queued;
-    d.prof.Profile.p_demand <- d.prof.Profile.p_demand + (attempt_stall - queued);
-    (* The root-cause split of the same stall: queued + proto + ser
-       account for the fabric's [t_complete - anow]; address-to-object
-       mapping rides with the protocol overhead. *)
-    attr_charge t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) queued;
-    attr_charge t ~ds:d.handle Attribution.Proto
+    stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) queued;
+    stall t ~ds:d.handle Attribution.Proto
       (tr.Fabric.t_proto + t.cfg.cost.deref_map);
-    attr_charge t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
+    stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
     (* Latency is end-to-end: failed attempts and backoffs included. *)
-    let stall = t.clock - start in
-    Profile.record_latency d.prof stall;
+    let latency = t.clock - start in
+    Profile.record_latency d.prof latency;
     d.objs.(o) <- d.objs.(o) lor b_resident;
     d.st.remote_faults <- d.st.remote_faults + 1;
     d.epoch_faults <- d.epoch_faults + 1;
     if Sink.tracing t.obs then
       Sink.emit t.obs
         (Event.make ~cycle:start ~ds:d.handle ~obj:o
-           (Event.Remote_fault { queued; stall }));
+           (Event.Remote_fault { queued; stall = latency }));
     emit_qp_busy t ~ds:d.handle ~obj:o tr;
-    (* The completion span mirrors the three ledger charges above
+    (* The completion span mirrors the three [stall] charges above
        field for field: queued -> Queue t_qp, proto + mapping ->
        Proto, ser -> Wire. *)
     (match sc with
@@ -1166,10 +1128,9 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
     match Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz with
     | Error f ->
       (* The CPU waited for the NACK: queueing + protocol turnaround. *)
-      retry_spend (f.Fabric.f_fail - t.clock);
+      retry_stall (f.Fabric.f_fail - t.clock);
       if sc <> None then att_fault := Some "transient";
-      note_fault_outcome t true;
-      emit_fault_inject t ~ds:d.handle ~obj:o Fabric.Transient;
+      note_transfer t ~ds:d.handle ~obj:o (Some Fabric.Transient);
       backoff n
     | Ok tr -> (
       (* The fabric counted this transfer's bytes the moment it
@@ -1178,7 +1139,7 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
          here, not in [finish]. *)
       d.st.fetched_bytes <- d.st.fetched_bytes + osz;
       match tr.Fabric.t_fault with
-      | Some Fabric.Late
+      | Some Fabric.Late as fault
         when n < t.cfg.retry_max
              && tr.Fabric.t_complete - t.clock > t.cfg.fetch_timeout_cycles ->
         (* The congested completion blew the per-fetch budget: give up
@@ -1186,22 +1147,17 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
            late-faulted attempts can time out — legitimate queueing
            never trips this, so a healthy loaded fabric cannot start a
            retry storm. *)
-        note_fault_outcome t true;
+        note_transfer t ~ds:d.handle ~obj:o fault;
         Rt_stats.note_timeout t.stats;
-        emit_fault_inject t ~ds:d.handle ~obj:o Fabric.Late;
         if Sink.tracing t.obs then
           Sink.emit t.obs
             (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
                (Event.Fetch_timeout { budget = t.cfg.fetch_timeout_cycles }));
-        retry_spend t.cfg.fetch_timeout_cycles;
+        retry_stall t.cfg.fetch_timeout_cycles;
         if sc <> None then att_fault := Some "late";
         backoff n
       | fault ->
-        (match fault with
-         | Some k ->
-           note_fault_outcome t true;
-           emit_fault_inject t ~ds:d.handle ~obj:o k
-         | None -> note_fault_outcome t false);
+        note_transfer t ~ds:d.handle ~obj:o fault;
         finish tr)
   and backoff n =
     if n >= t.cfg.retry_max then begin
@@ -1220,7 +1176,7 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
         Sink.emit t.obs
           (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
              (Event.Retry_backoff { attempt = n + 1; wait }));
-      retry_spend wait;
+      retry_stall wait;
       flush_retry ();
       attempt (n + 1)
     end
@@ -1243,10 +1199,9 @@ let note_prefetch_hit t (d : ds) o ~timely =
       (* Informational bucket: the demand stall this prefetch avoided
          (uncontended fetch + mapping) — what the access would have
          cost as a fault.  Not part of the wall-clock identity. *)
-      d.prof.Profile.p_hidden <-
-        d.prof.Profile.p_hidden
-        + Fabric.nominal_fetch_cycles t.fabric ~bytes:(obj_size d)
-        + t.cfg.cost.deref_map;
+      Profile.add_hidden d.prof
+        (Fabric.nominal_fetch_cycles t.fabric ~bytes:(obj_size d)
+         + t.cfg.cost.deref_map);
       (* Zero-stall use: recorded purely for the causal chain (the
          prefetch paid off).  A *late* use settles above instead and
          its mapping was already consumed there. *)
@@ -1269,25 +1224,17 @@ let note_prefetch_hit t (d : ds) o ~timely =
   end
 
 let guard t ~write addr =
-  if not (Addr.is_managed addr) then begin
-    spend t t.cfg.cost.guard_unmanaged;
-    t.prof0.Profile.p_guard <- t.prof0.Profile.p_guard + t.cfg.cost.guard_unmanaged;
-    attr_charge t ~ds:0 Attribution.Guard_exec t.cfg.cost.guard_unmanaged
-  end
-  else if
+  if
+    (not (Addr.is_managed addr))
     (* Guards may be hoisted to loop preheaders and thus run
        speculatively (e.g. ahead of a zero-trip loop) with an address
        the loop would never dereference.  A managed address beyond its
        pool is then benign: pay the custody check and fall through.
        Real accesses still fault on wild pointers (see [resolve]). *)
-    (let h = addr lsr Addr.offset_bits in
-     h > Vec.length t.dss
-     || Addr.offset_of addr >= (Vec.get t.dss (h - 1)).pool_used)
-  then begin
-    spend t t.cfg.cost.guard_unmanaged;
-    t.prof0.Profile.p_guard <- t.prof0.Profile.p_guard + t.cfg.cost.guard_unmanaged;
-    attr_charge t ~ds:0 Attribution.Guard_exec t.cfg.cost.guard_unmanaged
-  end
+    || (let h = addr lsr Addr.offset_bits in
+        h > Vec.length t.dss
+        || Addr.offset_of addr >= (Vec.get t.dss (h - 1)).pool_used)
+  then stall t ~ds:0 Attribution.Guard_exec t.cfg.cost.guard_unmanaged
   else begin
     let d, o = locate t addr in
     d.st.guards <- d.st.guards + 1;
@@ -1303,9 +1250,7 @@ let guard t ~write addr =
       if st land b_resident <> 0 then begin
         let timely = settle_inflight t d o in
         note_prefetch_hit t d o ~timely;
-        spend t local_cost;
-        d.prof.Profile.p_guard <- d.prof.Profile.p_guard + local_cost;
-        attr_charge t ~ds:d.handle Attribution.Guard_exec local_cost;
+        stall t ~ds:d.handle Attribution.Guard_exec local_cost;
         d.st.guard_hits <- d.st.guard_hits + 1;
         if Sink.tracing t.obs then
           Sink.emit t.obs
@@ -1313,9 +1258,7 @@ let guard t ~write addr =
         false
       end
       else begin
-        spend t local_cost;
-        d.prof.Profile.p_guard <- d.prof.Profile.p_guard + local_cost;
-        attr_charge t ~ds:d.handle Attribution.Guard_exec local_cost;
+        stall t ~ds:d.handle Attribution.Guard_exec local_cost;
         if Sink.tracing t.obs then
           Sink.emit t.obs
             (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o Event.Guard_miss);
@@ -1337,10 +1280,7 @@ let loop_check t addrs =
   let ok = ref true in
   List.iter
     (fun addr ->
-      spend t t.cfg.cost.loop_check_per_ds;
-      t.prof0.Profile.p_alloc <-
-        t.prof0.Profile.p_alloc + t.cfg.cost.loop_check_per_ds;
-      attr_charge t ~ds:0 Attribution.Bookkeeping t.cfg.cost.loop_check_per_ds;
+      stall t ~ds:0 Attribution.Bookkeeping t.cfg.cost.loop_check_per_ds;
       if Addr.is_managed addr then ok := false)
     addrs;
   if Sink.tracing t.obs then
@@ -1358,9 +1298,7 @@ let clean_fault t (d : ds) o ~write =
     + (if write then t.cfg.cost.guard_local_write
        else t.cfg.cost.guard_local_read)
   in
-  spend t c;
-  d.prof.Profile.p_trap <- d.prof.Profile.p_trap + c;
-  attr_charge t ~ds:d.handle Attribution.Trap c;
+  stall t ~ds:d.handle Attribution.Trap c;
   (* The trap span owns exactly the Trap charge above; the nested
      demand fetch (if any) becomes its child via [E_trap], with the
      trap id allocated first so parent < child holds. *)

@@ -49,7 +49,7 @@ type config = {
           [None] (default) is bit-identical to the fixed depth. *)
   batching : bool;
       (** coalesce each prefetcher call's targets into one fabric
-          request ({!Cards_net.Fabric.fetch_many}) and eviction-burst
+          request ({!Cards_net.Fabric.fetch_many_attempt}) and eviction-burst
           writebacks into posted batches; [false] issues per object *)
   retry_max : int;
       (** demand-fetch retries before escalating to the fabric's
@@ -117,9 +117,11 @@ val create : ?obs:Cards_obs.Sink.t -> config -> Static_info.t array -> t
 val now : t -> int
 val charge : t -> int -> unit
 (** Advance the clock (the interpreter charges instruction costs).
-    Charged cycles land in the profiler's compute bucket; the
-    runtime's own costs are attributed internally so that
-    [Cards_obs.Profile.attributed (profile t) = now t] always holds. *)
+    Charged cycles land in the profiler's compute counter.  Every other
+    clock advance is the runtime's own stall, charged to one root cause
+    in the {!attribution} ledger by the same internal primitive that
+    advances the clock, so [Cards_obs.Profile.attributed (profile t) =
+    now t] always holds. *)
 
 (** {2 Runtime entry points (called from transformed code)} *)
 
@@ -217,12 +219,14 @@ val sink : t -> Cards_obs.Sink.t
     here to stamp call events). *)
 
 val profile : t -> Cards_obs.Profile.t
-(** The always-on cycle-attribution profiler;
+(** The always-on cycle-attribution profiler: the compute counter fed
+    by {!charge}, per-structure latency histograms, and a bucket view
+    of {!attribution}'s stall charges.
     [Cards_obs.Profile.attributed] of it equals {!now}. *)
 
 val attribution : t -> Cards_obs.Attribution.t
-(** The always-on stall root-cause ledger:
-    [Cards_obs.Attribution.total] of it equals
+(** The always-on stall root-cause ledger, the only record of stall
+    cycles: [Cards_obs.Attribution.total] of it equals
     [now t - Cards_obs.Profile.compute (profile t)] — every
     non-compute cycle decomposed into protocol / wire / per-QP
     queueing / late-prefetch / retry / guard / trap / bookkeeping,

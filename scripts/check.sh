@@ -28,6 +28,9 @@
 #                              # gates (the slow half) for inner-loop
 #                              # use; never touches any BENCH_*.json
 #
+# Both modes end by printing the non-test line ledger (scripts/loc.sh),
+# for information only.
+#
 # Exits non-zero on the first failure.  A regression-gate failure
 # names the experiment, metric, baseline, and observed value on
 # stderr; if the change is intentional, delete the stale BENCH_*.json
@@ -97,6 +100,8 @@ grep -q traceEvents "$trace" || {
   echo "check.sh: trace is not a Chrome trace_event file" >&2; exit 1; }
 
 if [ "$quick" = yes ]; then
+  echo "== non-test line ledger (information only)"
+  scripts/loc.sh
   echo "== check.sh: quick pass green (bench gates skipped)"
   exit 0
 fi
@@ -216,4 +221,6 @@ CARDS_TEST_DOMAINS=4 dune exec --no-build test/test_main.exe > /dev/null
 for base in $refreshed; do
   mv "$tmpdir/$base" "$base"
 done
+echo "== non-test line ledger (information only)"
+scripts/loc.sh
 echo "== check.sh: all green (refreshed:$refreshed)"

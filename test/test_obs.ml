@@ -68,6 +68,54 @@ let test_attribution_all_pinned_is_pure_compute_and_alloc () =
       check Alcotest.int "no queueing when pinned" 0 b.O.Profile.p_queue)
     (O.Profile.handles prof)
 
+(* ---------- golden --profile tables ---------- *)
+
+(* Test data lives in the source tree: dune runs the suite from
+   _build/default/test with its declared deps copied alongside, a
+   direct invocation runs from the repository root. *)
+let project_file rel =
+  let from_test_dir = Filename.concat Filename.parent_dir_name rel in
+  if Sys.file_exists from_test_dir then from_test_dir else rel
+
+(* The two --profile tables for one faulting run: listing1 with every
+   structure remotable in a 256 KiB / 64 KiB memory split and a 10%
+   per-transfer fault rate ([cards run examples/minic/listing1.mc
+   --policy all-remotable --local 256K --remotable 64K --fault-rate 0.1
+   --profile]). *)
+let profile_tables_listing1_faulty () =
+  let src =
+    In_channel.with_open_bin (project_file "examples/minic/listing1.mc")
+      In_channel.input_all
+  in
+  let cfg =
+    { R.Runtime.default_config with
+      policy = R.Policy.All_remotable;
+      local_bytes = 256 * 1024;
+      remotable_bytes = 64 * 1024;
+      fabric_config =
+        { R.Runtime.default_config.fabric_config with
+          Cards_net.Fabric.faults =
+            { Cards_net.Fabric.no_faults with fault_rate = 0.1 } } }
+  in
+  let res, rt = P.run (P.compile_source src) cfg in
+  let names = R.Runtime.ds_name rt in
+  Cards_util.Table.render
+    (O.Export.profile_table ~names ~total:res.cycles (R.Runtime.profile rt))
+  ^ "\n"
+  ^ Cards_util.Table.render
+      (O.Export.attribution_table ~names (R.Runtime.attribution rt))
+
+(* Pins both tables' content byte for byte: every bucket, every cause
+   column and every row of a faulting run. *)
+let test_profile_tables_golden () =
+  let golden =
+    In_channel.with_open_bin
+      (project_file "test/golden/profile_listing1_faulty.txt")
+      In_channel.input_all
+  in
+  check Alcotest.string "profile + attribution tables" golden
+    (profile_tables_listing1_faulty ())
+
 (* ---------- stall root-cause attribution ---------- *)
 
 let test_stall_attribution_exact () =
@@ -413,11 +461,11 @@ let test_exporters_on_zero_event_run () =
      check Alcotest.bool "only metadata" true (List.length evs <= 1)
    | None -> Alcotest.fail "no traceEvents");
   check Alcotest.string "empty jsonl" "" (O.Export.events_jsonl tr);
-  let prof = O.Profile.create () in
+  let attr = O.Attribution.create () in
+  let prof = O.Profile.create attr in
   let names _ = "x" in
   ignore (Cards_util.Table.render (O.Export.latency_table prof));
   ignore (Cards_util.Table.render (O.Export.latency_percentiles_table ~names prof));
-  let attr = O.Attribution.create () in
   check Alcotest.int "empty ledger total" 0 (O.Attribution.total attr);
   ignore (Cards_util.Table.render (O.Export.attribution_table ~names attr));
   ignore (Cards_util.Table.render (O.Export.attribution_sites_table ~names attr));
@@ -1019,6 +1067,8 @@ let suite =
       test_prefetch_and_batch_events_roundtrip;
     Alcotest.test_case "profile table renders" `Quick
       test_profile_table_renders;
+    Alcotest.test_case "profile tables golden" `Quick
+      test_profile_tables_golden;
     Alcotest.test_case "metrics sampled" `Quick test_metrics_sampled;
     Alcotest.test_case "metrics jsonl parses" `Quick test_metrics_jsonl_parses;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;

@@ -51,22 +51,36 @@ let test_cost_table1 () =
 
 (* ---------- Fabric ---------- *)
 
+(* The fabrics these tests build are fault-free, so the [_attempt]
+   entry points always answer [Ok]; unwrap them. *)
+let fetch_ok f ~now ~bytes =
+  match N.Fabric.fetch_attempt f ~now ~bytes with
+  | Ok tr -> tr
+  | Error _ -> Alcotest.fail "fault-free fabric NACKed a fetch"
+
+let fetch f ~now ~bytes = (fetch_ok f ~now ~bytes).N.Fabric.t_complete
+
+let fetch_many_ok f ~now ~sizes =
+  match N.Fabric.fetch_many_attempt f ~now ~sizes with
+  | Ok r -> r
+  | Error _ -> Alcotest.fail "fault-free fabric NACKed a batch"
+
 let test_fabric_59k () =
   (* Table 1: a 4 KiB demand fetch lands at ~59 K cycles. *)
   let f = N.Fabric.create N.Fabric.default_config in
-  let t = N.Fabric.fetch f ~now:0 ~bytes:R.Cost.cards_remote_object_bytes in
+  let t = fetch f ~now:0 ~bytes:R.Cost.cards_remote_object_bytes in
   check Alcotest.bool "within 5% of 59K" true
     (abs (t - 59_000) < 59_000 / 20)
 
 let test_fabric_trackfm_46k () =
   let f = N.Fabric.create N.Fabric.trackfm_config in
-  let t = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let t = fetch f ~now:0 ~bytes:4096 in
   check Alcotest.bool "within 5% of 46K" true (abs (t - 46_000) < 46_000 / 20)
 
 let test_fabric_queueing () =
   let f = N.Fabric.create N.Fabric.default_config in
-  let t1 = N.Fabric.fetch f ~now:0 ~bytes:4096 in
-  let t2 = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let t1 = fetch f ~now:0 ~bytes:4096 in
+  let t2 = fetch f ~now:0 ~bytes:4096 in
   check Alcotest.bool "second transfer serializes" true (t2 > t1);
   let st = N.Fabric.stats f in
   check Alcotest.int "two fetches" 2 st.fetches;
@@ -78,7 +92,7 @@ let test_fabric_writeback_nonblocking () =
   let f = N.Fabric.create N.Fabric.default_config in
   N.Fabric.writeback f ~now:0 ~bytes:4096;
   (* Outbound traffic must not delay inbound fetches. *)
-  let t = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let t = fetch f ~now:0 ~bytes:4096 in
   check Alcotest.bool "fetch unaffected by writeback" true (t < 60_000);
   check Alcotest.int "writeback counted" 1 (N.Fabric.stats f).writebacks;
   (* A second immediate writeback queues behind the first on the
@@ -89,19 +103,19 @@ let test_fabric_writeback_nonblocking () =
 
 let test_fabric_bandwidth_term () =
   let f = N.Fabric.create N.Fabric.default_config in
-  let small = N.Fabric.fetch f ~now:0 ~bytes:64 in
+  let small = fetch f ~now:0 ~bytes:64 in
   N.Fabric.reset f;
-  let big = N.Fabric.fetch f ~now:0 ~bytes:65536 in
+  let big = fetch f ~now:0 ~bytes:65536 in
   check Alcotest.bool "bigger transfers take longer" true (big > small + 10_000)
 
 let test_fabric_fetch_many_amortizes () =
   (* Four 4 KiB objects in one request: the protocol cost is paid once,
      so the batch completes in a fraction of four serial fetches. *)
   let f = N.Fabric.create N.Fabric.default_config in
-  let single = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let single = fetch f ~now:0 ~bytes:4096 in
   N.Fabric.reset f;
   let tr, completions =
-    N.Fabric.fetch_many f ~now:0 ~sizes:(Array.make 4 4096)
+    fetch_many_ok f ~now:0 ~sizes:(Array.make 4 4096)
   in
   check Alcotest.int "one completion per object" 4 (Array.length completions);
   (* Per-object completions: strictly increasing, first = a plain
@@ -128,13 +142,13 @@ let test_fabric_qp_dispatch () =
   let f =
     N.Fabric.create { N.Fabric.default_config with qp_count = 2 }
   in
-  let t1 = N.Fabric.fetch_info f ~now:0 ~bytes:4096 in
-  let t2 = N.Fabric.fetch_info f ~now:0 ~bytes:4096 in
+  let t1 = fetch_ok f ~now:0 ~bytes:4096 in
+  let t2 = fetch_ok f ~now:0 ~bytes:4096 in
   check Alcotest.int "first not queued" 0 t1.N.Fabric.t_queued;
   check Alcotest.int "second not queued" 0 t2.N.Fabric.t_queued;
   check Alcotest.bool "different QPs" true
     (t1.N.Fabric.t_qp <> t2.N.Fabric.t_qp);
-  let t3 = N.Fabric.fetch_info f ~now:0 ~bytes:4096 in
+  let t3 = fetch_ok f ~now:0 ~bytes:4096 in
   check Alcotest.bool "third queues" true (t3.N.Fabric.t_queued > 0);
   let st = N.Fabric.stats f in
   check Alcotest.int "per-QP counters sized" 2
@@ -181,7 +195,7 @@ let prop_fabric_completion_monotone =
       List.for_all
         (fun bytes ->
           now := !now + 100;
-          let t = N.Fabric.fetch f ~now:!now ~bytes in
+          let t = fetch f ~now:!now ~bytes in
           let ok = t >= !last && t > !now in
           last := t;
           ok)
@@ -869,7 +883,7 @@ let test_fabric_fault_transient () =
 
 let test_fabric_fault_late () =
   let clean = N.Fabric.create N.Fabric.default_config in
-  let nominal = N.Fabric.fetch clean ~now:0 ~bytes:4096 in
+  let nominal = fetch clean ~now:0 ~bytes:4096 in
   let f = fault_fabric [ N.Fabric.Late ] in
   (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a late transfer still completes"
@@ -886,7 +900,7 @@ let test_fabric_fault_late () =
 
 let test_fabric_fault_duplicate () =
   let clean = N.Fabric.create N.Fabric.default_config in
-  let nominal = N.Fabric.fetch clean ~now:0 ~bytes:4096 in
+  let nominal = fetch clean ~now:0 ~bytes:4096 in
   let f = fault_fabric [ N.Fabric.Duplicate ] in
   (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a duplicated transfer still completes"
@@ -899,16 +913,19 @@ let test_fabric_fault_duplicate () =
   check Alcotest.int "duplicate counted" 1 (N.Fabric.stats f).faults_dup
 
 let test_fabric_attempt_rate0_identity () =
-  (* With faults off, fetch_attempt is exactly fetch_info: same
-     schedule, no randomness consumed, Ok always. *)
+  (* Every fault kind configured but the rate at 0: the fabric must
+     behave exactly like one with fault injection off — same schedule,
+     same counters, Ok always. *)
   let a = N.Fabric.create N.Fabric.default_config in
-  let b = N.Fabric.create N.Fabric.default_config in
+  let b = fault_fabric ~rate:0.0 all_kinds in
   for i = 0 to 9 do
-    let ti = N.Fabric.fetch_info a ~now:(i * 10_000) ~bytes:4096 in
+    let ta = fetch_ok a ~now:(i * 10_000) ~bytes:4096 in
     match N.Fabric.fetch_attempt b ~now:(i * 10_000) ~bytes:4096 with
-    | Ok tb -> check Alcotest.bool "identical transfer" true (ti = tb)
+    | Ok tb -> check Alcotest.bool "identical transfer" true (ta = tb)
     | Error _ -> Alcotest.fail "rate 0 cannot fail"
-  done
+  done;
+  check Alcotest.bool "identical stats" true
+    (N.Fabric.stats a = N.Fabric.stats b)
 
 let test_fabric_reliable_never_faults () =
   let f = fault_fabric all_kinds in
@@ -939,11 +956,11 @@ let test_fabric_wb_fault_absorbed () =
 
 let test_fabric_now_backwards_rejected () =
   let f = N.Fabric.create N.Fabric.default_config in
-  ignore (N.Fabric.fetch_many f ~now:1000 ~sizes:[| 4096 |]);
+  ignore (fetch_many_ok f ~now:1000 ~sizes:[| 4096 |]);
   (* Re-entering at the same now is fine (retries re-issue "now"). *)
-  ignore (N.Fabric.fetch_many f ~now:1000 ~sizes:[| 4096 |]);
+  ignore (fetch_many_ok f ~now:1000 ~sizes:[| 4096 |]);
   (try
-     ignore (N.Fabric.fetch_many f ~now:999 ~sizes:[| 4096 |]);
+     ignore (fetch_many_ok f ~now:999 ~sizes:[| 4096 |]);
      Alcotest.fail "inbound clock moved backwards undetected"
    with Invalid_argument _ -> ());
   N.Fabric.writeback_many f ~now:2000 ~count:1 ~bytes:4096;
@@ -953,7 +970,7 @@ let test_fabric_now_backwards_rejected () =
    with Invalid_argument _ -> ());
   (* The directions guard independently, and reset clears both. *)
   N.Fabric.reset f;
-  ignore (N.Fabric.fetch_many f ~now:0 ~sizes:[| 64 |]);
+  ignore (fetch_many_ok f ~now:0 ~sizes:[| 64 |]);
   N.Fabric.writeback_many f ~now:0 ~count:1 ~bytes:64
 
 let test_fabric_fault_schedule_deterministic () =
@@ -1013,6 +1030,16 @@ let check_exact rt =
   check Alcotest.int "ledger exact"
     (R.Runtime.now rt - Cards_obs.Profile.compute prof)
     (Cards_obs.Attribution.total (R.Runtime.attribution rt))
+
+let test_rt_bad_handle_alloc_charges_nothing () =
+  (* A dsalloc that traps on a bad handle must not leave cycles off
+     the ledger: the clock and the attribution stay in step. *)
+  let rt = mk_rt ~policy:R.Policy.All_remotable ~k:0.0 1 in
+  let _ = R.Runtime.ds_init rt ~sid:0 in
+  (match R.Runtime.ds_alloc rt ~handle:99 ~size:8 with
+   | _ -> Alcotest.fail "expected bad handle error"
+   | exception R.Runtime.Runtime_error _ -> ());
+  check_exact rt
 
 let retry_cycles rt =
   List.fold_left
@@ -1310,6 +1337,8 @@ let suite =
     ("rt over-budget counted", `Quick, test_rt_over_budget_counted);
     ("rt batching reduces cycles", `Quick, test_rt_batching_reduces_cycles);
     ("rt wild pointer", `Quick, test_rt_wild_pointer_rejected);
+    ("rt bad-handle alloc charges nothing", `Quick,
+     test_rt_bad_handle_alloc_charges_nothing);
     ("rt speculative guard benign", `Quick, test_rt_speculative_guard_benign);
     ("rt report", `Quick, test_rt_report);
     ("adaptive drops useless prefetcher", `Quick, test_adaptive_drops_useless_prefetcher);
