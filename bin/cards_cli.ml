@@ -40,7 +40,7 @@ let with_errors f =
   | R.Runtime.Runtime_error msg ->
     Printf.eprintf "runtime error: %s\n" msg;
     exit 2
-  | Failure msg ->
+  | Failure msg | Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
 

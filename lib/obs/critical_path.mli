@@ -11,7 +11,8 @@
     The report attributes the winning chain's cycles by phase
     (queued / proto / wire / retry / pf-wait / trap) and by data
     structure, and keeps the chain itself root-first for rendering
-    ({!Export.critical_path_table}, JSONL, Chrome flow events). *)
+    ({!Export.critical_path_table}; the span exports draw the same
+    chains as Chrome flow events). *)
 
 type phase_split = {
   cp_queued : int;
@@ -30,8 +31,6 @@ type report = {
   r_span_count : int;  (** spans analyzed *)
   r_end : int;  (** last completion cycle seen across all spans *)
 }
-
-val phase_total : phase_split -> int
 
 val analyze : Span.collector -> report option
 (** [None] iff no spans were recorded.  A report with an all-zero

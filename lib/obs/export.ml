@@ -112,86 +112,83 @@ let us_of_cycles ~freq_ghz c = float_of_int c /. (freq_ghz *. 1000.0)
 (* QP rows sort after every plausible structure handle. *)
 let qp_tid_base = 100_000
 
+(* The interpreter's rows (call stack, loop versioning) are tid 0. *)
+let event_tid (ev : Event.t) =
+  match ev.ev_kind with
+  | Call_enter _ | Call_exit _ | Loop_version _ -> 0
+  | Qp_busy { qp; _ } -> qp_tid_base + qp
+  | _ -> ev.ev_ds
+
+let ds_row ?names tid =
+  match names with Some f -> f tid | None -> Printf.sprintf "ds %d" tid
+
+(* One trace_event document: the process name, a [thread_name] label
+   for every distinct tid [tids] reports (sorted), then [events], and
+   [otherData] closed by the caller's [other] fields. *)
+let chrome_document ~freq_ghz ~process ~label ~tids ~other events =
+  let seen = Hashtbl.create 8 in
+  tids (fun tid -> Hashtbl.replace seen tid ());
+  let thread_name tid =
+    Json.Obj
+      [ ("name", Json.Str "thread_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int 1);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.Str (label tid)) ]) ]
+  in
+  let metas =
+    Json.Obj
+      [ ("name", Json.Str "process_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int 1);
+        ("args", Json.Obj [ ("name", Json.Str process) ]) ]
+    :: (Hashtbl.fold (fun tid () acc -> tid :: acc) seen []
+        |> List.sort compare
+        |> List.map thread_name)
+  in
+  Json.Obj
+    [ ("traceEvents", Json.List (metas @ events));
+      ("displayTimeUnit", Json.Str "ms");
+      ("otherData",
+       Json.Obj
+         ([ ("tool", Json.Str "cards");
+            ("clock", Json.Str (Printf.sprintf "%.1f GHz simulated" freq_ghz)) ]
+          @ other)) ]
+
 let chrome_event ~freq_ghz (ev : Event.t) : Json.t =
   let ts = us_of_cycles ~freq_ghz ev.ev_cycle in
-  let base name ph tid extra =
+  let base name ph extra =
     Json.Obj
       ([ ("name", Json.Str name);
          ("cat", Json.Str (Event.category ev.ev_kind));
          ("ph", Json.Str ph);
          ("ts", Json.Float ts);
          ("pid", Json.Int 1);
-         ("tid", Json.Int tid) ]
+         ("tid", Json.Int (event_tid ev)) ]
        @ extra)
   in
   let args = ("args", Json.Obj (("obj", Json.Int ev.ev_obj) :: kind_args ev.ev_kind)) in
   match ev.ev_kind with
-  | Call_enter { fn } -> base fn "B" 0 []
-  | Call_exit { fn } -> base fn "E" 0 []
-  | Loop_version _ ->
-    base (Event.kind_name ev.ev_kind) "i" 0 [ ("s", Json.Str "t"); args ]
-  | Qp_busy { qp; busy } ->
-    base "qp_busy" "X" (qp_tid_base + qp)
-      [ ("dur", Json.Float (us_of_cycles ~freq_ghz busy)); args ]
+  | Call_enter { fn } -> base fn "B" []
+  | Call_exit { fn } -> base fn "E" []
   | k -> (
     match Event.duration k with
     | Some dur ->
-      base (Event.kind_name k) "X" ev.ev_ds
+      base (Event.kind_name k) "X"
         [ ("dur", Json.Float (us_of_cycles ~freq_ghz dur)); args ]
-    | None ->
-      base (Event.kind_name k) "i" ev.ev_ds [ ("s", Json.Str "t"); args ])
+    | None -> base (Event.kind_name k) "i" [ ("s", Json.Str "t"); args ])
 
 let chrome_trace ?(freq_ghz = 2.4) ?names trace =
-  let tids = Hashtbl.create 8 in
-  Trace.iter
-    (fun (ev : Event.t) ->
-      let tid =
-        match ev.ev_kind with
-        | Call_enter _ | Call_exit _ | Loop_version _ -> 0
-        | Qp_busy { qp; _ } -> qp_tid_base + qp
-        | _ -> ev.ev_ds
-      in
-      Hashtbl.replace tids tid ())
-    trace;
-  let thread_name tid =
-    let name =
-      if tid = 0 then "interpreter"
-      else if tid >= qp_tid_base then
-        Printf.sprintf "qp%d inbound" (tid - qp_tid_base)
-      else
-        match names with
-        | Some f -> f tid
-        | None -> Printf.sprintf "ds %d" tid
-    in
-    Json.Obj
-      [ ("name", Json.Str "thread_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.Str name) ]) ]
+  let label tid =
+    if tid = 0 then "interpreter"
+    else if tid >= qp_tid_base then
+      Printf.sprintf "qp%d inbound" (tid - qp_tid_base)
+    else ds_row ?names tid
   in
-  let meta =
-    Json.Obj
-      [ ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("args", Json.Obj [ ("name", Json.Str "CaRDS simulated run") ]) ]
-  in
-  let metas =
-    meta
-    :: (Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
-        |> List.sort compare
-        |> List.map thread_name)
-  in
-  let evs = List.map (chrome_event ~freq_ghz) (Trace.to_list trace) in
-  Json.Obj
-    [ ("traceEvents", Json.List (metas @ evs));
-      ("displayTimeUnit", Json.Str "ms");
-      ("otherData",
-       Json.Obj
-         [ ("tool", Json.Str "cards");
-           ("clock", Json.Str (Printf.sprintf "%.1f GHz simulated" freq_ghz));
-           ("dropped_events", Json.Int (Trace.dropped trace)) ]) ]
+  chrome_document ~freq_ghz ~process:"CaRDS simulated run" ~label
+    ~tids:(fun add -> Trace.iter (fun ev -> add (event_tid ev)) trace)
+    ~other:[ ("dropped_events", Json.Int (Trace.dropped trace)) ]
+    (List.map (chrome_event ~freq_ghz) (Trace.to_list trace))
 
 let chrome_trace_string ?freq_ghz ?names trace =
   Json.to_string (chrome_trace ?freq_ghz ?names trace)
@@ -298,41 +295,14 @@ let spans_chrome_trace ?(freq_ghz = 2.4) ?names collector =
           flow "s" [] (span_tid p) p.sp_complete;
           flow "f" [ ("bp", Json.Str "e") ] (span_tid s) s.sp_issued)
     collector;
-  let tids = Hashtbl.create 8 in
-  Span.iter (fun s -> Hashtbl.replace tids (span_tid s) ()) collector;
-  let thread_name tid =
-    let name =
-      if tid >= qp_tid_base then Printf.sprintf "qp%d spans" (tid - qp_tid_base)
-      else
-        match names with
-        | Some f -> f tid
-        | None -> Printf.sprintf "ds %d" tid
-    in
-    Json.Obj
-      [ ("name", Json.Str "thread_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.Str name) ]) ]
+  let label tid =
+    if tid >= qp_tid_base then Printf.sprintf "qp%d spans" (tid - qp_tid_base)
+    else ds_row ?names tid
   in
-  let metas =
-    Json.Obj
-      [ ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("args", Json.Obj [ ("name", Json.Str "CaRDS causal spans") ]) ]
-    :: (Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
-        |> List.sort compare
-        |> List.map thread_name)
-  in
-  Json.Obj
-    [ ("traceEvents", Json.List (metas @ List.rev !evs));
-      ("displayTimeUnit", Json.Str "ms");
-      ("otherData",
-       Json.Obj
-         [ ("tool", Json.Str "cards");
-           ("clock", Json.Str (Printf.sprintf "%.1f GHz simulated" freq_ghz));
-           ("spans", Json.Int (Span.length collector)) ]) ]
+  chrome_document ~freq_ghz ~process:"CaRDS causal spans" ~label
+    ~tids:(fun add -> Span.iter (fun s -> add (span_tid s)) collector)
+    ~other:[ ("spans", Json.Int (Span.length collector)) ]
+    (List.rev !evs)
 
 let spans_chrome_trace_string ?freq_ghz ?names collector =
   Json.to_string (spans_chrome_trace ?freq_ghz ?names collector)
@@ -449,27 +419,6 @@ let critical_path_table ?(title = "Critical path (longest causal chain)")
     [ "ANALYZED"; Printf.sprintf "%d spans" r.r_span_count; ""; ""; ""; "";
       ""; ""; (if by_ds = "" then "-" else by_ds) ];
   t
-
-let critical_path_json (r : Critical_path.report) =
-  let p = r.Critical_path.r_phases in
-  Json.Obj
-    [ ("chain", Json.List (List.map span_json r.r_chain));
-      ("chain_stall", Json.Int r.r_chain_stall);
-      ("phases",
-       Json.Obj
-         [ ("queued", Json.Int p.cp_queued);
-           ("proto", Json.Int p.cp_proto);
-           ("wire", Json.Int p.cp_wire);
-           ("retry", Json.Int p.cp_retry);
-           ("pf_wait", Json.Int p.cp_pf_wait);
-           ("trap", Json.Int p.cp_trap) ]);
-      ("by_ds",
-       Json.Obj
-         (List.map
-            (fun (ds, v) -> (string_of_int ds, Json.Int v))
-            r.r_by_ds));
-      ("span_count", Json.Int r.r_span_count);
-      ("end", Json.Int r.r_end) ]
 
 let write_file path contents =
   let oc = open_out path in
@@ -773,29 +722,3 @@ let whatif_table ?(title = "What-if: virtual speedups (ranked)")
          Table.fmt_speedup 1.0; cyc p.Whatif.p_baseline; "-" ]
    | [] -> ());
   t
-
-let whatif_json (rows : (Whatif.prediction * int option) list) =
-  let scenario_json ((p : Whatif.prediction), measured) =
-    Json.Obj
-      ([ ("id", Json.Str p.p_scenario.Whatif.sc_id);
-         ("label", Json.Str p.p_scenario.Whatif.sc_label);
-         ("predicted_cycles", Json.Int p.p_cycles);
-         ("saved_cycles", Json.Int p.p_saved);
-         ("speedup", Json.Float p.p_speedup);
-         ("chain_stall", Json.Int p.p_chain_stall) ]
-       @ match measured with
-         | None -> []
-         | Some m ->
-           [ ("measured_cycles", Json.Int m);
-             ("rel_error",
-              Json.Float
-                (if m = 0 then 0.0
-                 else
-                   abs_float (float_of_int (p.p_cycles - m))
-                   /. float_of_int m)) ])
-  in
-  Json.Obj
-    [ ("baseline_cycles",
-       Json.Int
-         (match rows with (p, _) :: _ -> p.Whatif.p_baseline | [] -> 0));
-      ("scenarios", Json.List (List.map scenario_json rows)) ]

@@ -6,7 +6,6 @@ type t = {
   reporter : Reporter.t;
   tracing : bool;
   sampling : bool;
-  spanning : bool;
   mutable pm_armed : bool;
 }
 
@@ -18,7 +17,6 @@ let null =
     reporter = Reporter.null;
     tracing = false;
     sampling = false;
-    spanning = false;
     pm_armed = false }
 
 let create ?trace_capacity ?metrics_interval ?span_rate ?recorder_capacity
@@ -49,14 +47,11 @@ let create ?trace_capacity ?metrics_interval ?span_rate ?recorder_capacity
     reporter;
     tracing = trace <> None;
     sampling = metrics <> None;
-    spanning = spans <> None;
     pm_armed = postmortem && recorder <> None }
 
 let tracing t = t.tracing
 
 let sampling t = t.sampling
-
-let spanning t = t.spanning
 
 let emit t ev =
   match t.trace with

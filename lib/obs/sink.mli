@@ -5,8 +5,8 @@
     ({!Span}) with its optional flight recorder ({!Recorder}), and
     the {!Reporter} through which all human-readable diagnostics
     flow.  The default {!null} sink has none of them: instrumented
-    call sites check {!tracing} / {!sampling} / {!spanning} (one
-    cached boolean load) before constructing anything, so a run
+    call sites check {!tracing} / {!sampling} (one cached boolean
+    load) or match on {!spans} before constructing anything, so a run
     without observability does no extra allocation and follows the
     seed fast path. *)
 
@@ -39,9 +39,6 @@ val tracing : t -> bool
 (** Call sites must gate event construction on this. *)
 
 val sampling : t -> bool
-
-val spanning : t -> bool
-(** True iff a span collector is attached. *)
 
 val emit : t -> Event.t -> unit
 

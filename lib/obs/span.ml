@@ -73,8 +73,6 @@ let create ?(rate = 1.0) () =
     c_inflight = Hashtbl.create 64;
     c_listener = None }
 
-let rate c = c.c_rate
-
 let sampled c =
   c.c_rate >= 1.0
   ||

@@ -25,10 +25,17 @@
     and one forward pass in id order suffices for chain costs
     ({!Critical_path}).
 
-    Reconciliation invariant (extends the ledger exactness invariant
-    to the causal layer): over the stall-carrying span kinds, each
-    phase sums to exactly the ledger's corresponding cause total when
-    the sample rate is 1.0, and to at most it otherwise —
+    The runtime builds the five stall-carrying kinds ({!Demand},
+    {!Escalated}, {!Retry}, {!Pf_settle}, {!Trap}) at one close point,
+    from the phases its single clock-advance primitive accumulated
+    while charging the stall ledger ({!Attribution}); the phase fields
+    are read from those charges, never restated.  {!Prefetch}, {!Batch}
+    and batch-member spans come from one constructor over the fabric
+    transfer that carried them.  Hence the reconciliation invariant
+    (the ledger exactness invariant extended to the causal layer)
+    holds by construction: over the stall-carrying kinds, each phase
+    sums to exactly the ledger's corresponding cause total when the
+    sample rate is 1.0, and to at most it otherwise —
 
       {ul
       {- [sp_queued] over {!Demand}/{!Escalated} spans per QP
@@ -110,8 +117,6 @@ val create : ?rate:float -> unit -> collector
 (** [rate] (default 1.0, clamped to \[0, 1\]) is the fraction of
     top-level occasions recorded, via a deterministic accumulator:
     rate 1.0 records everything, 0.5 every other occasion. *)
-
-val rate : collector -> float
 
 val sampled : collector -> bool
 (** One sampling decision.  The runtime calls this once per occasion

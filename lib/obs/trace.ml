@@ -16,8 +16,6 @@ let add t ev =
 
 let length t = min t.added t.cap
 
-let capacity t = t.cap
-
 let dropped t = max 0 (t.added - t.cap)
 
 let to_list t =

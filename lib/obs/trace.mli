@@ -21,7 +21,5 @@ val iter : (Event.t -> unit) -> t -> unit
 val length : t -> int
 (** Events currently retained. *)
 
-val capacity : t -> int
-
 val dropped : t -> int
 (** Events evicted to make room (total added − retained). *)

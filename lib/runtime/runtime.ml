@@ -151,6 +151,19 @@ type ds = {
   prof : Profile.ds;              (* fetch-latency histogram *)
 }
 
+(* The open stall occasion: the fetch-path phases [stall] has charged
+   since the last [close_occasion] (see "stall occasions" below). *)
+type occasion = {
+  mutable o_first : int;          (* clock before the first charge; -1 = none *)
+  mutable o_qp : int;             (* queue pair of the [Queue] charge; -1 = none *)
+  mutable o_queued : int;
+  mutable o_proto : int;
+  mutable o_wire : int;
+  mutable o_retry : int;
+  mutable o_pf_wait : int;
+  mutable o_trap : int;
+}
+
 type t = {
   cfg : config;
   pinned_budget : int;
@@ -195,15 +208,16 @@ type t = {
   mutable site_fn : string;
   mutable site_block : int;
   mutable site_instr : int;
+  occ : occasion;
   (* Causal span layer.  [spans] is the sink's collector, cached so
      every hook is one [match] on an immutable field — [None] means
      spans are off and the hook is a no-op costing one branch, which
      is how tracing off stays the seed fast path.  [cur_span] is the
-     id of the current access's span (demand completion, settle, or
-     timely hit), the [E_trigger] parent for any prefetch the access
-     sets off; -1 between spanned accesses.  Span recording never
-     touches [clock], so spanning on is cycle-identical by
-     construction. *)
+     id of the last span the current access closed (demand
+     completion, settle, or timely hit), the [E_trigger] parent for
+     any prefetch the access sets off; -1 between spanned accesses.
+     Span recording never touches [clock], so spanning on is
+     cycle-identical by construction. *)
   spans : Span.collector option;
   mutable cur_span : int;
 }
@@ -272,6 +286,9 @@ let create ?(obs = Sink.null) cfg infos =
     site_fn = Attribution.unknown_site.Attribution.s_fn;
     site_block = Attribution.unknown_site.Attribution.s_block;
     site_instr = Attribution.unknown_site.Attribution.s_instr;
+    occ =
+      { o_first = -1; o_qp = -1; o_queued = 0; o_proto = 0; o_wire = 0;
+        o_retry = 0; o_pf_wait = 0; o_trap = 0 };
     spans = Sink.spans obs;
     cur_span = -1 }
 
@@ -284,9 +301,16 @@ let now t = t.clock
    profiler's stall buckets are a view of that ledger, so
    [Profile.attributed t.prof = t.clock] and
    [Attribution.total t.attr = t.clock - Profile.compute t.prof] hold
-   at all times (the invariants the tests assert).  Neither record
-   feeds back into the clock, so profiled and unprofiled runs produce
-   bit-identical cycle counts. *)
+   at all times (the invariants the tests assert).
+
+   [stall] also adds each fetch-path charge to the open occasion's
+   matching phase (Queue -> queued + qp, Proto, Wire, Retry, Pf_wait,
+   Trap; Guard_exec and Bookkeeping are per-instruction costs and
+   stay out).  [close_occasion] turns that accumulator into the span,
+   trace event, latency sample and per-structure counter, so every
+   view of a stall reads the cycles the ledger was charged.  None of
+   these records feeds back into the clock, so profiled and
+   unprofiled runs produce bit-identical cycle counts. *)
 let charge t c =
   t.clock <- t.clock + c;
   Profile.add_compute t.prof c
@@ -294,7 +318,22 @@ let charge t c =
 let stall t ~ds cause c =
   t.clock <- t.clock + c;
   Attribution.charge t.attr ~ds ~fn:t.site_fn ~block:t.site_block
-    ~instr:t.site_instr cause c
+    ~instr:t.site_instr cause c;
+  match cause with
+  | Attribution.Guard_exec | Attribution.Bookkeeping -> ()
+  | _ -> (
+    let o = t.occ in
+    if o.o_first < 0 then o.o_first <- t.clock - c;
+    match cause with
+    | Attribution.Queue qp ->
+      o.o_queued <- o.o_queued + c;
+      o.o_qp <- qp
+    | Attribution.Proto -> o.o_proto <- o.o_proto + c
+    | Attribution.Wire -> o.o_wire <- o.o_wire + c
+    | Attribution.Retry -> o.o_retry <- o.o_retry + c
+    | Attribution.Pf_wait -> o.o_pf_wait <- o.o_pf_wait + c
+    | Attribution.Trap -> o.o_trap <- o.o_trap + c
+    | Attribution.Guard_exec | Attribution.Bookkeeping -> ())
 
 let set_site t ~fn ~block ~instr =
   t.site_fn <- fn;
@@ -316,18 +355,6 @@ let ds_name t handle =
     else "(unmanaged)"
   in
   if t.cfg.namespace = "" then bare else t.cfg.namespace ^ "/" ^ bare
-
-(* Span constructor stamped with the current access site; phase fields
-   default to zero so each emission site names only what it explains. *)
-let mk_span t ~id ~kind ~parent ?edge ~ds ~obj ~issued ~start ~complete
-    ?(queued = 0) ?(proto = 0) ?(wire = 0) ?(retry = 0) ?(pf_wait = 0)
-    ?(trap = 0) ?(qp = -1) ~bytes ?fault () =
-  { Span.sp_id = id; sp_kind = kind; sp_parent = parent; sp_edge = edge;
-    sp_ds = ds; sp_obj = obj; sp_fn = t.site_fn; sp_block = t.site_block;
-    sp_instr = t.site_instr; sp_issued = issued; sp_start = start;
-    sp_complete = complete; sp_queued = queued; sp_proto = proto;
-    sp_wire = wire; sp_retry = retry; sp_pf_wait = pf_wait; sp_trap = trap;
-    sp_qp = qp; sp_bytes = bytes; sp_fault = fault }
 
 (* One-shot post-mortem dump through the sink's reporter; armed by
    [Sink.create ~postmortem:true], consumed by the first trap or
@@ -763,22 +790,125 @@ let effective_prefetch_limit t (d : ds) =
   if t.degrade = 0 then max_int
   else info_prefetch_depth t d.info asr t.degrade
 
-(* A prefetch transfer's span carries the fabric occupancy split
-   (queued/proto/wire on its QP) for the timeline, but none of it is
-   CPU stall — the clock never waited — so prefetch/batch spans are
-   excluded from the span/ledger reconciliation (Span.cpu_totals). *)
-let prefetch_span t (td : ds) o (tr : Fabric.transfer) =
+(* ---------- stall occasions ---------- *)
+
+(* Close the open occasion as one [kind] of stall on [obj] of [d]:
+   read and reset the phases [stall] accumulated since the last close
+   and write every view of them — the span (when sampled), the trace
+   event, the latency sample and the per-structure counter.  Returns
+   the span id, -1 when none was recorded.
+
+   An occasion starts at its first charge; a demand fetch passes
+   [issued] instead (its start, before any failed attempt) and closes
+   in pieces, each [Retry] and then the completion.  Its [root] span
+   id (-1 = unsampled) was allocated when the fetch began, so the
+   chain is recorded or skipped whole: the completion records as
+   [root], each retry as a fresh child of it.  Other occasions are
+   sampled here.  [parent] is a clean-fault fetch's trap span;
+   settles and hits take their prefetch parent from the in-flight
+   registry. *)
+let close_occasion t (d : ds) obj kind ?root ?(parent = -1) ?issued ?fault
+    () =
+  let o = t.occ in
+  let first = if o.o_first >= 0 then o.o_first else t.clock in
+  let issued = Option.value issued ~default:first in
+  let stalled = t.clock - issued in
+  (match kind with
+   | Span.Demand | Span.Escalated ->
+     Profile.record_latency d.prof stalled;
+     d.st.remote_faults <- d.st.remote_faults + 1;
+     if Sink.tracing t.obs then
+       Sink.emit t.obs
+         (Event.make ~cycle:issued ~ds:d.handle ~obj
+            (Event.Remote_fault { queued = o.o_queued; stall = stalled }))
+   | Span.Pf_settle ->
+     Profile.record_latency d.prof stalled;
+     d.st.prefetch_late <- d.st.prefetch_late + 1;
+     if Sink.tracing t.obs then
+       Sink.emit t.obs
+         (Event.make ~cycle:issued ~ds:d.handle ~obj
+            (Event.Prefetch_late { wait = stalled }))
+   | Span.Trap -> d.st.clean_faults <- d.st.clean_faults + 1
+   | Span.Retry | Span.Pf_hit | Span.Prefetch | Span.Batch -> ());
+  let id =
+    match t.spans with
+    | None -> -1
+    | Some c ->
+      let id, parent =
+        match (root, kind) with
+        | Some r, Span.Retry ->
+          if r >= 0 && o.o_retry > 0 then (Span.fresh c, r) else (-1, -1)
+        | Some r, _ -> (r, parent)
+        | None, (Span.Pf_settle | Span.Pf_hit) ->
+          if Span.sampled c then
+            let p = Span.take_inflight c ~ds:d.handle ~obj in
+            (Span.fresh c, p)
+          else (-1, -1)
+        | None, _ -> if Span.sampled c then (Span.fresh c, parent) else (-1, -1)
+      in
+      if id >= 0 then begin
+        let edge =
+          if parent < 0 then None
+          else
+            match kind with
+            | Span.Retry -> Some Span.E_retry
+            | Span.Pf_settle | Span.Pf_hit -> Some Span.E_satisfy
+            | _ -> Some Span.E_trap (* a demand fetch's trap parent *)
+        in
+        Span.add c
+          { Span.sp_id = id; sp_kind = kind; sp_parent = parent; sp_edge = edge;
+            sp_ds = d.handle; sp_obj = obj; sp_fn = t.site_fn;
+            sp_block = t.site_block; sp_instr = t.site_instr;
+            sp_issued = issued; sp_start = first + o.o_queued;
+            sp_complete = t.clock; sp_queued = o.o_queued;
+            sp_proto = o.o_proto; sp_wire = o.o_wire; sp_retry = o.o_retry;
+            sp_pf_wait = o.o_pf_wait; sp_trap = o.o_trap; sp_qp = o.o_qp;
+            sp_bytes = obj_size d;
+            sp_fault = Option.map Fabric.fault_kind_name fault };
+        t.cur_span <- id
+      end;
+      id
+  in
+  o.o_first <- -1;
+  o.o_qp <- -1;
+  o.o_queued <- 0;
+  o.o_proto <- 0;
+  o.o_wire <- 0;
+  o.o_retry <- 0;
+  o.o_pf_wait <- 0;
+  o.o_trap <- 0;
+  id
+
+(* The one constructor for fabric-occupancy spans, built from the
+   transfer that carried them.  A standalone prefetch or a batch takes
+   the transfer's phase split and fault and hangs off the access that
+   ran the prefetcher; a batch member ([member] = its batch span and
+   own completion, sampled with the batch) takes no phases, which the
+   batch already accounts for.  The clock never waited on any of it,
+   so these spans stay out of the span/ledger reconciliation. *)
+let transfer_span t kind ~ds ~obj ~bytes ?member (tr : Fabric.transfer) =
   match t.spans with
-  | Some c when Span.sampled c ->
+  | Some c when Option.is_some member || Span.sampled c ->
     let id = Span.fresh c in
+    let parent, edge, complete, (queued, proto, wire, fault) =
+      match member with
+      | Some (batch, complete) ->
+        (batch, Some Span.E_member, complete, (0, 0, 0, None))
+      | None ->
+        ( t.cur_span,
+          (if t.cur_span >= 0 then Some Span.E_trigger else None),
+          tr.Fabric.t_complete,
+          ( tr.Fabric.t_queued, tr.Fabric.t_proto, tr.Fabric.t_ser,
+            Option.map Fabric.fault_kind_name tr.Fabric.t_fault ) )
+    in
     Span.add c
-      (mk_span t ~id ~kind:Span.Prefetch ~parent:t.cur_span
-         ?edge:(if t.cur_span >= 0 then Some Span.E_trigger else None)
-         ~ds:td.handle ~obj:o ~issued:t.clock ~start:tr.Fabric.t_start
-         ~complete:tr.Fabric.t_complete ~queued:tr.Fabric.t_queued
-         ~proto:tr.Fabric.t_proto ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp
-         ~bytes:(obj_size td)
-         ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault) ());
+      { Span.sp_id = id; sp_kind = kind; sp_parent = parent; sp_edge = edge;
+        sp_ds = ds; sp_obj = obj; sp_fn = t.site_fn; sp_block = t.site_block;
+        sp_instr = t.site_instr; sp_issued = t.clock;
+        sp_start = tr.Fabric.t_start; sp_complete = complete;
+        sp_queued = queued; sp_proto = proto; sp_wire = wire; sp_retry = 0;
+        sp_pf_wait = 0; sp_trap = 0; sp_qp = tr.Fabric.t_qp; sp_bytes = bytes;
+        sp_fault = fault };
     id
   | _ -> -1
 
@@ -795,7 +925,10 @@ let prefetch_one t (d : ds) ~origin_obj (td : ds) o =
     td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
     note_transfer t ~ds:td.handle ~obj:o tr.Fabric.t_fault;
     emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
-    let span = prefetch_span t td o tr in
+    let span =
+      transfer_span t Span.Prefetch ~ds:td.handle ~obj:o ~bytes:(obj_size td)
+        tr
+    in
     mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
       ~span
 
@@ -843,41 +976,20 @@ let issue_prefetch_batch t (d : ds) ~origin_obj targets =
              (Event.Batch_fetch
                 { count = Array.length sizes;
                   bytes = Array.fold_left ( + ) 0 sizes }));
-      (* One batch span carrying the request's fabric occupancy, then
-         one zero-phase member span per object (the batch already
-         accounts for the wire; members exist for the causal chain and
-         per-object completion times).  Batch id precedes member ids,
-         preserving parent < child. *)
-      let batch_sp, sc =
-        match t.spans with
-        | Some c when Span.sampled c ->
-          let id = Span.fresh c in
-          Span.add c
-            (mk_span t ~id ~kind:Span.Batch ~parent:t.cur_span
-               ?edge:(if t.cur_span >= 0 then Some Span.E_trigger else None)
-               ~ds:d.handle ~obj:origin_obj ~issued:t.clock
-               ~start:tr.Fabric.t_start ~complete:tr.Fabric.t_complete
-               ~queued:tr.Fabric.t_queued ~proto:tr.Fabric.t_proto
-               ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp
-               ~bytes:(Array.fold_left ( + ) 0 sizes)
-               ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault)
-               ());
-          (id, Some c)
-        | _ -> (-1, None)
+      (* One batch span, then one member span per object (members
+         exist for the causal chain and per-object completion times).
+         Batch id precedes member ids, preserving parent < child. *)
+      let batch_sp =
+        transfer_span t Span.Batch ~ds:d.handle ~obj:origin_obj
+          ~bytes:(Array.fold_left ( + ) 0 sizes) tr
       in
       List.iteri
-        (fun i (td, o) ->
+        (fun i ((td : ds), o) ->
           let span =
-            match sc with
-            | Some c ->
-              let id = Span.fresh c in
-              Span.add c
-                (mk_span t ~id ~kind:Span.Prefetch ~parent:batch_sp
-                   ~edge:Span.E_member ~ds:td.handle ~obj:o ~issued:t.clock
-                   ~start:tr.Fabric.t_start ~complete:completions.(i)
-                   ~qp:tr.Fabric.t_qp ~bytes:(obj_size td) ());
-              id
-            | None -> -1
+            if batch_sp < 0 then -1
+            else
+              transfer_span t Span.Prefetch ~ds:td.handle ~obj:o
+                ~bytes:(obj_size td) ~member:(batch_sp, completions.(i)) tr
           in
           mark_prefetched t d ~origin_obj td o ~completion:completions.(i)
             ~span)
@@ -1011,27 +1123,8 @@ let settle_inflight t (d : ds) o =
     let wait = d.arrivals.(o) - t.clock in
     d.objs.(o) <- st land lnot b_inflight;
     if wait > 0 then begin
-      let start = t.clock in
       stall t ~ds:d.handle Attribution.Pf_wait wait;
-      Profile.record_latency d.prof wait;
-      d.st.prefetch_late <- d.st.prefetch_late + 1;
-      if Sink.tracing t.obs then
-        Sink.emit t.obs
-          (Event.make ~cycle:start ~ds:d.handle ~obj:o
-             (Event.Prefetch_late { wait }));
-      (* The late-settle span owns the whole Pf_wait charge and claims
-         the in-flight prefetch span as its [E_satisfy] parent. *)
-      (match t.spans with
-      | Some c when Span.sampled c ->
-        let parent = Span.take_inflight c ~ds:d.handle ~obj:o in
-        let id = Span.fresh c in
-        Span.add c
-          (mk_span t ~id ~kind:Span.Pf_settle ~parent
-             ?edge:(if parent >= 0 then Some Span.E_satisfy else None)
-             ~ds:d.handle ~obj:o ~issued:start ~start ~complete:t.clock
-             ~pf_wait:wait ~bytes:(obj_size d) ());
-        t.cur_span <- id
-      | _ -> ());
+      ignore (close_occasion t d o Span.Pf_settle ());
       false
     end
     else true
@@ -1049,79 +1142,30 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
      The root id is allocated up front: retry spans complete (and are
      added) before the fetch they delayed, but must point forward at
      it, and parent < child keeps the edge relation acyclic. *)
-  let sc =
-    match t.spans with Some c when Span.sampled c -> Some c | _ -> None
+  let root =
+    match t.spans with Some c when Span.sampled c -> Span.fresh c | _ -> -1
   in
-  let root = match sc with Some c -> Span.fresh c | None -> -1 in
-  let att_start = ref start in
-  let att_retry = ref 0 in
-  let att_fault = ref None in
-  let escalated = ref false in
   (* Cycles burned off the happy path — NACK turnarounds, abandoned
      late completions, backoff waits — are real CPU stall and land in
      their own ledger cause, so the exactness invariants keep holding
      under any fault rate. *)
-  let retry_stall c =
-    if c > 0 then begin
-      stall t ~ds:d.handle Attribution.Retry c;
-      att_retry := !att_retry + c
-    end
-  in
-  (* Close one failed attempt as a Retry span: every cycle
-     [retry_stall] charged since the previous flush, which is exactly
-     the ledger's Retry charges — the reconciliation is per-cycle. *)
-  let flush_retry () =
-    (match sc with
-    | Some c when !att_retry > 0 ->
-      let id = Span.fresh c in
-      Span.add c
-        (mk_span t ~id ~kind:Span.Retry ~parent:root ~edge:Span.E_retry
-           ~ds:d.handle ~obj:o ~issued:!att_start ~start:!att_start
-           ~complete:t.clock ~retry:!att_retry ~bytes:osz ?fault:!att_fault
-           ())
-    | _ -> ());
-    att_retry := 0;
-    att_fault := None;
-    att_start := t.clock
-  in
+  let retry_stall c = if c > 0 then stall t ~ds:d.handle Attribution.Retry c in
   (* The attempt that delivered the data, issued at the current
      clock: its queued + proto + ser split adds up to the fabric's
      [t_complete - now] exactly, and address-to-object mapping rides
-     with the protocol overhead. *)
-  let finish (tr : Fabric.transfer) =
-    let queued = tr.Fabric.t_queued in
-    stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) queued;
+     with the protocol overhead.  Latency is end-to-end: failed
+     attempts and backoffs included. *)
+  let finish kind (tr : Fabric.transfer) =
+    stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) tr.Fabric.t_queued;
     stall t ~ds:d.handle Attribution.Proto
       (tr.Fabric.t_proto + t.cfg.cost.deref_map);
     stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
-    (* Latency is end-to-end: failed attempts and backoffs included. *)
-    let latency = t.clock - start in
-    Profile.record_latency d.prof latency;
+    ignore
+      (close_occasion t d o kind ~root ~parent:span_parent ~issued:start
+         ?fault:tr.Fabric.t_fault ());
     d.objs.(o) <- d.objs.(o) lor b_resident;
-    d.st.remote_faults <- d.st.remote_faults + 1;
     d.epoch_faults <- d.epoch_faults + 1;
-    if Sink.tracing t.obs then
-      Sink.emit t.obs
-        (Event.make ~cycle:start ~ds:d.handle ~obj:o
-           (Event.Remote_fault { queued; stall = latency }));
     emit_qp_busy t ~ds:d.handle ~obj:o tr;
-    (* The completion span mirrors the three [stall] charges above
-       field for field: queued -> Queue t_qp, proto + mapping ->
-       Proto, ser -> Wire. *)
-    (match sc with
-    | Some c ->
-      Span.add c
-        (mk_span t ~id:root
-           ~kind:(if !escalated then Span.Escalated else Span.Demand)
-           ~parent:span_parent
-           ?edge:(if span_parent >= 0 then Some Span.E_trap else None)
-           ~ds:d.handle ~obj:o ~issued:start ~start:tr.Fabric.t_start
-           ~complete:t.clock ~queued
-           ~proto:(tr.Fabric.t_proto + t.cfg.cost.deref_map)
-           ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp ~bytes:osz
-           ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault) ());
-      t.cur_span <- root
-    | None -> ());
     clock_insert t d o
   in
   let rec attempt n =
@@ -1129,9 +1173,8 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
     | Error f ->
       (* The CPU waited for the NACK: queueing + protocol turnaround. *)
       retry_stall (f.Fabric.f_fail - t.clock);
-      if sc <> None then att_fault := Some "transient";
       note_transfer t ~ds:d.handle ~obj:o (Some Fabric.Transient);
-      backoff n
+      backoff n Fabric.Transient
     | Ok tr -> (
       (* The fabric counted this transfer's bytes the moment it
          completed [Ok] — even a late completion we abandon below
@@ -1154,20 +1197,22 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
             (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
                (Event.Fetch_timeout { budget = t.cfg.fetch_timeout_cycles }));
         retry_stall t.cfg.fetch_timeout_cycles;
-        if sc <> None then att_fault := Some "late";
-        backoff n
+        backoff n Fabric.Late
       | fault ->
         note_transfer t ~ds:d.handle ~obj:o fault;
-        finish tr)
-  and backoff n =
+        finish Span.Demand tr)
+  (* Each failed attempt closes as one Retry occasion: its NACK
+     turnaround or timeout budget plus the backoff wait. *)
+  and backoff n fault =
     if n >= t.cfg.retry_max then begin
       (* Retries exhausted: the reliable channel cannot fault, so
          forward progress is guaranteed at any fault rate. *)
       Rt_stats.note_escalation t.stats;
-      flush_retry ();
-      escalated := true;
+      ignore (close_occasion t d o Span.Retry ~root ~fault ());
       d.st.fetched_bytes <- d.st.fetched_bytes + osz;
-      finish (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz)
+      finish Span.Escalated
+        (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz);
+      maybe_postmortem t ~reason:"demand fetch escalated to the reliable channel"
     end
     else begin
       let wait = t.cfg.retry_backoff_cycles lsl min n 6 in
@@ -1177,13 +1222,11 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
           (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
              (Event.Retry_backoff { attempt = n + 1; wait }));
       retry_stall wait;
-      flush_retry ();
+      ignore (close_occasion t d o Span.Retry ~root ~fault ());
       attempt (n + 1)
     end
   in
-  attempt 0;
-  if !escalated then
-    maybe_postmortem t ~reason:"demand fetch escalated to the reliable channel"
+  attempt 0
 
 let note_prefetch_hit t (d : ds) o ~timely =
   let st = d.objs.(o) in
@@ -1202,20 +1245,10 @@ let note_prefetch_hit t (d : ds) o ~timely =
       Profile.add_hidden d.prof
         (Fabric.nominal_fetch_cycles t.fabric ~bytes:(obj_size d)
          + t.cfg.cost.deref_map);
-      (* Zero-stall use: recorded purely for the causal chain (the
-         prefetch paid off).  A *late* use settles above instead and
-         its mapping was already consumed there. *)
-      match t.spans with
-      | Some c when Span.sampled c ->
-        let parent = Span.take_inflight c ~ds:d.handle ~obj:o in
-        let id = Span.fresh c in
-        Span.add c
-          (mk_span t ~id ~kind:Span.Pf_hit ~parent
-             ?edge:(if parent >= 0 then Some Span.E_satisfy else None)
-             ~ds:d.handle ~obj:o ~issued:t.clock ~start:t.clock
-             ~complete:t.clock ~bytes:(obj_size d) ());
-        t.cur_span <- id
-      | _ -> ()
+      (* Zero-stall use: an empty occasion, recorded purely for the
+         causal chain (the prefetch paid off).  A *late* use settles
+         above instead and its mapping was already consumed there. *)
+      ignore (close_occasion t d o Span.Pf_hit ())
     end;
     if Sink.tracing t.obs then
       Sink.emit t.obs
@@ -1299,24 +1332,13 @@ let clean_fault t (d : ds) o ~write =
        else t.cfg.cost.guard_local_read)
   in
   stall t ~ds:d.handle Attribution.Trap c;
-  (* The trap span owns exactly the Trap charge above; the nested
-     demand fetch (if any) becomes its child via [E_trap], with the
-     trap id allocated first so parent < child holds. *)
-  let trap_sp =
-    match t.spans with
-    | Some col when Span.sampled col ->
-      let id = Span.fresh col in
-      Span.add col
-        (mk_span t ~id ~kind:Span.Trap ~parent:(-1) ~ds:d.handle ~obj:o
-           ~issued:start ~start ~complete:t.clock ~trap:c ~bytes:(obj_size d)
-           ());
-      id
-    | _ -> -1
-  in
+  (* The trap closes as its own occasion; the nested demand fetch (if
+     any) becomes its child via [E_trap], with the trap id allocated
+     first so parent < child holds. *)
+  let trap_sp = close_occasion t d o Span.Trap () in
   ignore (settle_inflight t d o);
   if d.objs.(o) land b_resident = 0 then
     demand_fetch ~span_parent:trap_sp t d o;
-  d.st.clean_faults <- d.st.clean_faults + 1;
   (* The span covers trap + settle + fetch; a nested [Remote_fault]
      span appears inside it when the object had to be demand-fetched. *)
   if Sink.tracing t.obs then

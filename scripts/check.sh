@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 gate: the whole build, the whole test suite, an
 # observability smoke run (compile + execute a bundled example with
-# tracing, metrics, and the cycle-attribution profile on, then make
-# sure the emitted Chrome trace is non-empty), and the bench
+# tracing, spans in every export format, metrics, and the
+# cycle-attribution profile on, then make sure every emitted file is
+# non-empty and the Chrome traces are trace_event files), and the bench
 # regression gates: fabric, attribution, fault-injection, causal-span,
 # what-if prediction, execution-engine, layout-factorization and
 # many-tenant serving experiments are diffed against the committed
@@ -88,16 +89,32 @@ echo "== parallel-engine suite (domain matrix + perturbation stress, incl. slow)
 # barrier/mailbox/vclock property tests — forced on.
 dune exec --no-build test/test_main.exe -- test par -e > /dev/null
 
-echo "== smoke: cards run with --trace/--metrics/--profile"
-trace=$(mktemp /tmp/cards-trace.XXXXXX.json)
+echo "== smoke: cards run with --trace/--events/--spans/--metrics/--profile"
+# One faulting listing1 configuration, run once per --spans format
+# (.json Chrome trace, .jsonl, .folded); the first run also writes the
+# Chrome event trace and the JSONL event log.  Every file must be
+# non-empty and every .json output a Chrome trace_event document.
 tmpdir=$(mktemp -d /tmp/cards-bench.XXXXXX)
-trap 'rm -f "$trace"; rm -rf "$tmpdir"' EXIT
-dune exec --no-build bin/cards_cli.exe -- run examples/minic/listing1.mc \
-  --policy all-remotable --local 1M --remotable 256K \
-  --trace "$trace" --metrics --profile > /dev/null
-test -s "$trace" || { echo "check.sh: empty trace file" >&2; exit 1; }
-grep -q traceEvents "$trace" || {
-  echo "check.sh: trace is not a Chrome trace_event file" >&2; exit 1; }
+smoke="$tmpdir/smoke"
+mkdir "$smoke"
+trap 'rm -rf "$tmpdir"' EXIT
+for fmt in json jsonl folded; do
+  extra=""
+  if [ "$fmt" = json ]; then
+    extra="--trace $smoke/trace.json --events $smoke/events.jsonl"
+  fi
+  # $extra is intentionally unquoted: it is empty or several words.
+  dune exec --no-build bin/cards_cli.exe -- run examples/minic/listing1.mc \
+    --policy all-remotable --local 1M --remotable 256K \
+    --spans "$smoke/spans.$fmt" $extra --metrics --profile > /dev/null
+done
+for f in trace.json events.jsonl spans.json spans.jsonl spans.folded; do
+  test -s "$smoke/$f" || { echo "check.sh: empty $f from the smoke run" >&2; exit 1; }
+done
+for f in trace.json spans.json; do
+  grep -q traceEvents "$smoke/$f" || {
+    echo "check.sh: $f is not a Chrome trace_event file" >&2; exit 1; }
+done
 
 if [ "$quick" = yes ]; then
   echo "== non-test line ledger (information only)"

@@ -116,6 +116,57 @@ let test_profile_tables_golden () =
   check Alcotest.string "profile + attribution tables" golden
     (profile_tables_listing1_faulty ())
 
+(* ---------- golden exporter output ---------- *)
+
+(* Two small faulting Pointer_chase runs whose exports are pinned byte
+   for byte: every structure remotable in a 16 KiB / 4 KiB memory
+   split, a 20% per-transfer fault rate and a single retry before the
+   reliable channel.  The map chase records demand, escalated, retry,
+   prefetch, batch/member, pf-settle and pf-hit spans; the vector
+   chase adds clean-fault traps and their trap-fetch children.  The
+   event ring is large enough to hold every event of both runs. *)
+let golden_exports ~variant ~scale =
+  let cfg =
+    { R.Runtime.default_config with
+      policy = R.Policy.All_remotable;
+      k = 0.0;
+      local_bytes = 16 * 1024;
+      remotable_bytes = 4 * 1024;
+      retry_max = 1;
+      fabric_config =
+        { R.Runtime.default_config.fabric_config with
+          Cards_net.Fabric.faults =
+            { Cards_net.Fabric.no_faults with fault_rate = 0.2 } } }
+  in
+  let obs = O.Sink.create ~trace_capacity:100_000 ~span_rate:1.0 () in
+  let _, rt =
+    P.run ~obs
+      (P.compile_source (W.Pointer_chase.source ~variant ~scale ~passes:2))
+      cfg
+  in
+  let names = R.Runtime.ds_name rt in
+  let tr = Option.get (O.Sink.trace obs) in
+  let c = Option.get (O.Sink.spans obs) in
+  List.map
+    (fun (ext, contents) -> (Printf.sprintf "%s_faulty.%s" variant ext, contents))
+    [ ("events.jsonl", O.Export.events_jsonl tr);
+      ("events.json", O.Export.chrome_trace_string ~names tr);
+      ("spans.jsonl", O.Export.spans_jsonl c);
+      ("spans.folded", O.Export.spans_folded ~names c);
+      ("spans.json", O.Export.spans_chrome_trace_string ~names c) ]
+
+let test_exports_golden () =
+  List.iter
+    (fun (file, contents) ->
+      let golden =
+        In_channel.with_open_bin
+          (project_file (Filename.concat "test/golden" file))
+          In_channel.input_all
+      in
+      check Alcotest.string file golden contents)
+    (golden_exports ~variant:"map" ~scale:8
+     @ golden_exports ~variant:"vector" ~scale:4)
+
 (* ---------- stall root-cause attribution ---------- *)
 
 let test_stall_attribution_exact () =
@@ -1069,6 +1120,7 @@ let suite =
       test_profile_table_renders;
     Alcotest.test_case "profile tables golden" `Quick
       test_profile_tables_golden;
+    Alcotest.test_case "exports golden" `Quick test_exports_golden;
     Alcotest.test_case "metrics sampled" `Quick test_metrics_sampled;
     Alcotest.test_case "metrics jsonl parses" `Quick test_metrics_jsonl_parses;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
