@@ -10,18 +10,26 @@
      dune exec bench/main.exe -- fig8 fig9 # selected experiments
 
    Sections: table1 fig4 fig5 fig6 fig7 fig8 fig9 fabric profile attr
-   faults spans ablations bechamel host
+   faults spans layout whatif serve par ablations bechamel host
 
-   `--json FILE` additionally records every experiment the chosen
-   sections register (tag, total cycles, fabric counters) as a JSON
-   snapshot, so successive PRs leave comparable perf records.
+   The gated sections — fabric attr faults spans whatif layout host
+   serve par — hard-assert the claims listed in each section's comment
+   and record the runs they measure.  A run several sections share
+   (the fig9 chases and the fig8 analytics workload at 50% local, the
+   fig9 list chase of examples/minic) is declared once as a cell below
+   and executed once per process.
 
-   `--compare BASELINE.json [--tolerance F]` diffs the experiments this
-   invocation registers against a committed snapshot (relative
-   tolerance, default 2%) and exits non-zero on any deviation — the
-   regression gate scripts/check.sh runs against BENCH_fabric.json,
-   BENCH_attr.json, BENCH_faults.json, BENCH_spans.json and
-   BENCH_host.json.  The
+   `--json FILE` writes the snapshot: one record per distinct run — its
+   tag, the sections that recorded it, and flat integer metrics
+   (`cycles`, the `fabric.*` counters, and `p99_cycles`,
+   `critical_path_cycles` or `pred_cycles` where a section measures
+   one).
+
+   `--compare BASELINE.json [--tolerance F]` diffs every metric of the
+   baseline records the chosen sections recorded (relative tolerance,
+   default 2%) and exits non-zero on any deviation, on a record one of
+   those sections no longer produces, or when it compared nothing —
+   the regression gate scripts/check.sh runs against BENCH.json.  The
    baseline is read before `--json` rewrites it, so `--json X
    --compare X` gates and refreshes in one run. *)
 
@@ -31,6 +39,10 @@ module W = Cards_workloads
 module B = Cards_baselines
 module T = Cards_util.Table
 module J = Cards_util.Json
+module O = Cards_obs
+module M = Cards_interp.Machine
+module F = Cards_net.Fabric
+module S = Cards_serve.Serve
 
 let kb x = x * 1024
 let mcycles c = Printf.sprintf "%.1f" (float_of_int c /. 1e6)
@@ -38,51 +50,97 @@ let fx r = T.fmt_speedup r
 
 let header title = Printf.printf "\n==== %s ====\n\n%!" title
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 (* ---------- JSON perf snapshot (--json FILE) ---------- *)
 
 let json_out : string option ref = ref None
 let compare_to : string option ref = ref None
 let tolerance = ref 0.02
-let experiments : J.t list ref = ref []
 
-let fabric_json (fs : Cards_net.Fabric.stats) =
+(* The section being run: it names the records the section makes and
+   prefixes its failure messages. *)
+let section = ref ""
+
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "%s: %s\n" (String.uppercase_ascii !section) m;
+      exit 1)
+    fmt
+
+(* One record per distinct run: the sections that recorded it and its
+   metrics, in recording order.  A section recording a run another
+   section already recorded adds its name and any new metric; a metric
+   recorded twice must carry the same value both times. *)
+type record = {
+  tag : string;
+  mutable sections : string list;
+  mutable metrics : (string * int) list;
+}
+
+let records : record list ref = ref []
+
+let record tag metrics =
+  let r =
+    match List.find_opt (fun r -> r.tag = tag) !records with
+    | Some r -> r
+    | None ->
+      let r = { tag; sections = []; metrics = [] } in
+      records := r :: !records;
+      r
+  in
+  if not (List.mem !section r.sections) then
+    r.sections <- r.sections @ [ !section ];
+  List.iter
+    (fun (m, v) ->
+      match List.assoc_opt m r.metrics with
+      | None -> r.metrics <- r.metrics @ [ (m, v) ]
+      | Some v0 when v0 <> v -> fail "%s: %s recorded as %d, then %d" tag m v0 v
+      | Some _ -> ())
+    metrics
+
+(* A run's cycles and its fabric counters, per-QP entries flattened. *)
+let run_metrics cycles (fs : F.stats) =
+  [ ("cycles", cycles);
+    ("fabric.fetches", fs.fetches);
+    ("fabric.fetched_bytes", fs.fetched_bytes);
+    ("fabric.batches", fs.batches);
+    ("fabric.batched_objects", fs.batched_objects);
+    ("fabric.writebacks", fs.writebacks);
+    ("fabric.written_bytes", fs.written_bytes);
+    ("fabric.wb_batches", fs.wb_batches);
+    ("fabric.queue_in_cycles", fs.queue_in_cycles);
+    ("fabric.queue_out_cycles", fs.queue_out_cycles) ]
+  @ List.mapi
+      (fun i c -> (Printf.sprintf "fabric.qp_queue_cycles[%d]" i, c))
+      (Array.to_list fs.qp_queue_cycles)
+  @ [ ("fabric.faults_transient", fs.faults_transient);
+      ("fabric.faults_late", fs.faults_late);
+      ("fabric.faults_dup", fs.faults_dup);
+      ("fabric.failed_fetches", fs.failed_fetches);
+      ("fabric.reliable_fetches", fs.reliable_fetches);
+      ("fabric.wb_faults", fs.wb_faults) ]
+
+let record_run tag cycles rt =
+  record tag (run_metrics cycles (R.Runtime.fabric_stats rt))
+
+let record_json r =
   J.Obj
-    [ ("fetches", J.Int fs.fetches);
-      ("fetched_bytes", J.Int fs.fetched_bytes);
-      ("batches", J.Int fs.batches);
-      ("batched_objects", J.Int fs.batched_objects);
-      ("writebacks", J.Int fs.writebacks);
-      ("written_bytes", J.Int fs.written_bytes);
-      ("wb_batches", J.Int fs.wb_batches);
-      ("queue_in_cycles", J.Int fs.queue_in_cycles);
-      ("queue_out_cycles", J.Int fs.queue_out_cycles);
-      ("qp_queue_cycles",
-       J.List (Array.to_list (Array.map (fun c -> J.Int c) fs.qp_queue_cycles)));
-      ("faults_transient", J.Int fs.faults_transient);
-      ("faults_late", J.Int fs.faults_late);
-      ("faults_dup", J.Int fs.faults_dup);
-      ("failed_fetches", J.Int fs.failed_fetches);
-      ("reliable_fetches", J.Int fs.reliable_fetches);
-      ("wb_faults", J.Int fs.wb_faults) ]
+    (("tag", J.Str r.tag)
+     :: ("sections", J.List (List.map (fun s -> J.Str s) r.sections))
+     :: List.map (fun (m, v) -> (m, J.Int v)) r.metrics)
 
-let record_experiment ~tag ~cycles rt =
-  experiments :=
-    J.Obj
-      [ ("tag", J.Str tag); ("cycles", J.Int cycles);
-        ("fabric", fabric_json (R.Runtime.fabric_stats rt)) ]
-    :: !experiments
+let snapshot () = J.Obj [ ("records", J.List (List.rev_map record_json !records)) ]
 
-let current_doc () = J.Obj [ ("experiments", J.List (List.rev !experiments)) ]
-
+(* One record per line, so a refreshed baseline diffs run by run. *)
 let write_json () =
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      output_string oc (J.to_string (current_doc ()));
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "-- recorded %d experiments to %s\n"
-        (List.length !experiments) path)
+      let lines = List.rev_map (fun r -> J.to_string (record_json r)) !records in
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "{\"records\":[\n%s\n]}\n" (String.concat ",\n" lines));
+      Printf.eprintf "-- recorded %d records to %s\n" (List.length lines) path)
     !json_out
 
 let cards_cfg ?(policy = R.Policy.Linear) ~k ~local ~remot () =
@@ -98,6 +156,117 @@ let run_cycles compiled cfg =
 let wss_of compiled =
   let prof = B.Mira.profile compiled in
   Array.fold_left ( + ) 0 prof.B.Mira.per_sid_bytes
+
+(* ---------- Gated runs: each declared once, run once per process ---------- *)
+
+(* A gated run: its tag, the compiled program and the runtime
+   configuration.  Both are lazy — built on first use and shared by
+   every cell and section naming them. *)
+type cell = {
+  tag : string;
+  compiled : P.compiled Lazy.t;
+  cfg : R.Runtime.config Lazy.t;
+}
+
+let cell tag compiled cfg_of =
+  { tag; compiled; cfg = lazy (cfg_of (Lazy.force compiled)) }
+
+(* The same program under a changed configuration. *)
+let derive tag c tweak =
+  { tag; compiled = c.compiled; cfg = lazy (tweak (Lazy.force c.cfg)) }
+
+let with_faults ~seed rate (cfg : R.Runtime.config) =
+  { cfg with
+    fabric_config =
+      { cfg.fabric_config with
+        faults = { F.no_faults with fault_rate = rate; fault_seed = seed } } }
+
+(* The fig9 chases at 50% local, a quarter of it remotable. *)
+let chase tag variant scale =
+  cell tag
+    (lazy (P.compile_source (W.Pointer_chase.source ~variant ~scale ~passes:2)))
+    (fun compiled ->
+      let local = wss_of compiled / 2 in
+      cards_cfg ~k:1.0 ~local ~remot:(local / 4) ())
+
+let pc_array = chase "pc-array" "array" 32768
+let pc_list = chase "pc-list" "list" 16384
+let pc_tree = chase "pc-tree" "tree" 16384
+
+(* The fig8 analytics workload at 50% local plus a 256 KB remotable
+   pool, pinned by Max-Use. *)
+let analytics =
+  cell "analytics"
+    (lazy (P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2)))
+    (fun compiled ->
+      let remot = kb 256 in
+      cards_cfg ~policy:R.Policy.Max_use ~k:1.0
+        ~local:((wss_of compiled / 2) + remot) ~remot ())
+
+(* Per-object transport: batching off, one inbound QP. *)
+let unbatched (cfg : R.Runtime.config) =
+  { cfg with batching = false; fabric_config = { cfg.fabric_config with qp_count = 1 } }
+
+let pc_array_unbatched = derive "pc-array-unbatched" pc_array unbatched
+let pc_list_unbatched = derive "pc-list-unbatched" pc_list unbatched
+
+(* pc-list under injected fabric faults, seed 7. *)
+let pc_list_at rate =
+  derive (Printf.sprintf "pc-list-r%.0f" (100.0 *. rate)) pc_list
+    (with_faults ~seed:7 rate)
+
+let pc_list_r5 = pc_list_at 0.05
+let pc_list_r20 = pc_list_at 0.2
+let pc_list_r50 = pc_list_at 0.5
+
+(* The layout pairs, plain and --factorize: all-remotable with the
+   cache well under the working set, so fetch traffic — not placement
+   luck — decides the outcome. *)
+let layout_pair name src ~local ~remot =
+  let cfg _ = cards_cfg ~policy:R.Policy.All_remotable ~k:0.0 ~local ~remot () in
+  let fact = { P.cards_options with factorize = true } in
+  ( cell name (lazy (P.compile_source (Lazy.force src))) cfg,
+    cell (name ^ "-fact")
+      (lazy (P.compile_source ~options:fact (Lazy.force src)))
+      cfg )
+
+let fig9_list, fig9_list_fact =
+  layout_pair "fig9-list"
+    (lazy (read_file "examples/minic/fig9_list.mc"))
+    ~local:(kb 1024) ~remot:(kb 768)
+
+let analytics_aos, analytics_aos_fact =
+  layout_pair "analytics-aos"
+    (lazy (W.Analytics.source_aos ~trips:20000 ~query_passes:2))
+    ~local:(kb 2048) ~remot:(kb 1024)
+
+let fresh ?obs c = P.run ?obs (Lazy.force c.compiled) (Lazy.force c.cfg)
+
+(* The per-process run cache, by cell tag: the bare run, and the run
+   with span recording at rate 1.0 together with its collector.  An
+   assertion comparing two executions never takes both from one entry:
+   bare vs traced are separate entries, and same-seed and what-if
+   re-runs are fresh executions. *)
+let bare_runs = Hashtbl.create 16
+let traced_runs = Hashtbl.create 4
+
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add tbl key v;
+    v
+
+let run c = memo bare_runs c.tag (fun () -> fresh c)
+
+let traced c =
+  memo traced_runs c.tag (fun () ->
+      let obs = O.Sink.create ~span_rate:1.0 () in
+      let res, rt = fresh ~obs c in
+      match O.Sink.spans obs with
+      | Some col -> (res, rt, col)
+      | None -> fail "sink built without a collector on %s" c.tag)
 
 (* ---------------------------------------------------------------- *)
 (* Table 1: primitive overheads, median cycles over 100 trials.     *)
@@ -383,46 +552,27 @@ let fabric_section () =
                 "objs/batch" ]
   in
   List.iter
-    (fun (variant, scale, passes) ->
-      let src = W.Pointer_chase.source ~variant ~scale ~passes in
-      let compiled = P.compile_source src in
-      let wss = wss_of compiled in
-      let local = wss / 2 in
-      let remot = local / 4 in
-      let batched_cfg = cards_cfg ~k:1.0 ~local ~remot () in
-      let unbatched_cfg =
-        { batched_cfg with
-          batching = false;
-          fabric_config =
-            { batched_cfg.fabric_config with Cards_net.Fabric.qp_count = 1 } }
-      in
-      let bres, brt = P.run compiled batched_cfg in
-      let ures, urt = P.run compiled unbatched_cfg in
+    (fun (batched, unbatched) ->
+      let bres, brt = run batched in
+      let ures, urt = run unbatched in
       (* Batching is a timing optimization; program results must be
          bit-identical, and the batched run must actually be faster. *)
-      if bres.output <> ures.output then begin
-        Printf.eprintf "FABRIC: outputs diverge on pc-%s\n" variant;
-        exit 1
-      end;
-      if bres.cycles >= ures.cycles then begin
-        Printf.eprintf "FABRIC: batching did not pay on pc-%s (%d vs %d)\n"
-          variant bres.cycles ures.cycles;
-        exit 1
-      end;
-      record_experiment ~tag:("pc-" ^ variant ^ "-batched") ~cycles:bres.cycles
-        brt;
-      record_experiment ~tag:("pc-" ^ variant ^ "-unbatched")
-        ~cycles:ures.cycles urt;
-      let fs : Cards_net.Fabric.stats = R.Runtime.fabric_stats brt in
+      if bres.output <> ures.output then fail "outputs diverge on %s" batched.tag;
+      if bres.cycles >= ures.cycles then
+        fail "batching did not pay on %s (%d vs %d)" batched.tag bres.cycles
+          ures.cycles;
+      record_run batched.tag bres.cycles brt;
+      record_run unbatched.tag ures.cycles urt;
+      let fs = R.Runtime.fabric_stats brt in
       T.add_row t
-        [ "pc-" ^ variant; mcycles bres.cycles ^ " Mc"; mcycles ures.cycles ^ " Mc";
+        [ batched.tag; mcycles bres.cycles ^ " Mc"; mcycles ures.cycles ^ " Mc";
           fx (float_of_int ures.cycles /. float_of_int bres.cycles);
           string_of_int fs.batches;
           (if fs.batches = 0 then "-"
            else
              Printf.sprintf "%.1f"
                (float_of_int fs.batched_objects /. float_of_int fs.batches)) ])
-    [ ("array", 32768, 2); ("list", 16384, 2) ];
+    [ (pc_array, pc_array_unbatched); (pc_list, pc_list_unbatched) ];
   T.print t;
   print_endline
     "Stride windows and jump-pointer chases both coalesce; the checks\n\
@@ -433,10 +583,8 @@ let fabric_section () =
 (* Profile: cycle attribution for the fig8/fig9 workloads.          *)
 (* ---------------------------------------------------------------- *)
 
-module O = Cards_obs
-
-let profile_run name compiled cfg =
-  let res, rt = P.run compiled cfg in
+let profile_run name c =
+  let res, rt = run c in
   let prof = R.Runtime.profile rt in
   T.print
     (O.Export.profile_table
@@ -454,28 +602,11 @@ let profile_section () =
   header "Profile: where the simulated cycles go (fig8/fig9 workloads)";
   (* The fig8 analytics workload under memory pressure: demand stalls
      and queueing should dominate the remoted structures. *)
-  let src = W.Analytics.source ~trips:50000 ~query_passes:2 in
-  let compiled = P.compile_source src in
-  let wss = wss_of compiled in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  profile_run "analytics (50% local)" compiled
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  profile_run "analytics (50% local)" analytics;
   (* The fig9 chase suite's hardest cases: the jump prefetcher turns
      demand stalls into pf-hidden cycles on the list from the second
      traversal on; the tree's greedy prefetcher hides less. *)
-  List.iter
-    (fun (variant, scale, passes) ->
-      let src = W.Pointer_chase.source ~variant ~scale ~passes in
-      let compiled = P.compile_source src in
-      let wss = wss_of compiled in
-      let local = wss / 2 in
-      let remot = local / 4 in
-      profile_run
-        (Printf.sprintf "pc-%s (50%% local)" variant)
-        compiled
-        (cards_cfg ~k:1.0 ~local ~remot ()))
-    [ ("list", 16384, 2); ("tree", 16384, 2) ]
+  List.iter (fun c -> profile_run (c.tag ^ " (50% local)") c) [ pc_list; pc_tree ]
 
 (* ---------------------------------------------------------------- *)
 (* Attribution: stall root causes + fetch-latency percentiles.      *)
@@ -484,22 +615,18 @@ let profile_section () =
 (* The regression-gated observability suite: runs the fig9 chases and
    the fig8 analytics workload at 50% local, asserts the ledger
    exactness invariant at bench scale, prints the per-cause / per-site
-   stall decomposition, and records each run so BENCH_attr.json gates
-   cycle counts and fabric counters across PRs. *)
+   stall decomposition, and records each run. *)
 let attr_section () =
   header "Attribution: stall root causes (fig8/fig9 workloads, 50% local)";
-  let run_one tag compiled cfg =
-    let res, rt = P.run compiled cfg in
+  let run_one c =
+    let tag = "attr-" ^ c.tag in
+    let res, rt = run c in
     let prof = R.Runtime.profile rt in
     let attr = R.Runtime.attribution rt in
     let stall = res.cycles - O.Profile.compute prof in
-    if O.Attribution.total attr <> stall then begin
-      Printf.eprintf
-        "ATTR: ledger total %d <> stall %d (cycles %d - compute %d) on %s\n"
-        (O.Attribution.total attr) stall res.cycles
-        (O.Profile.compute prof) tag;
-      exit 1
-    end;
+    if O.Attribution.total attr <> stall then
+      fail "ledger total %d <> stall %d (cycles %d - compute %d) on %s"
+        (O.Attribution.total attr) stall res.cycles (O.Profile.compute prof) tag;
     let names = R.Runtime.ds_name rt in
     T.print
       (O.Export.attribution_table
@@ -514,24 +641,9 @@ let attr_section () =
     T.print
       (O.Export.latency_percentiles_table
          ~title:(tag ^ ": fetch latency percentiles") ~names prof);
-    record_experiment ~tag ~cycles:res.cycles rt
+    record_run c.tag res.cycles rt
   in
-  let analytics = P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2) in
-  let wss = wss_of analytics in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  run_one "attr-analytics" analytics
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
-  List.iter
-    (fun (variant, scale, passes) ->
-      let compiled =
-        P.compile_source (W.Pointer_chase.source ~variant ~scale ~passes)
-      in
-      let wss = wss_of compiled in
-      let local = wss / 2 in
-      let remot = local / 4 in
-      run_one ("attr-pc-" ^ variant) compiled (cards_cfg ~k:1.0 ~local ~remot ()))
-    [ ("list", 16384, 2); ("tree", 16384, 2) ];
+  List.iter run_one [ analytics; pc_list; pc_tree ];
   print_endline
     "Every stalled cycle lands in exactly one cause bucket; the ledger\n\
      total matching (cycles - compute) above is a hard assertion."
@@ -555,30 +667,14 @@ let attr_section () =
 
    A second run at rate 0.2 with the same seed must reproduce the
    cycle count exactly (the injection schedule is PRNG-driven, not
-   wall-clock-driven).  Every run is recorded, so BENCH_faults.json
-   gates the fault-path timing across PRs. *)
+   wall-clock-driven).  Every run is recorded. *)
 
 let fault_slowdown_bound = 8
 
 let faults_section () =
   header "Faults: retry/backoff and graceful degradation (pc-list, 50% local)";
-  let src = W.Pointer_chase.source ~variant:"list" ~scale:16384 ~passes:2 in
-  let compiled = P.compile_source src in
-  let wss = wss_of compiled in
-  let local = wss / 2 in
-  let remot = local / 4 in
-  let cfg_at rate =
-    let base = cards_cfg ~k:1.0 ~local ~remot () in
-    { base with
-      R.Runtime.fabric_config =
-        { base.R.Runtime.fabric_config with
-          Cards_net.Fabric.faults =
-            { Cards_net.Fabric.no_faults with
-              Cards_net.Fabric.fault_rate = rate; fault_seed = 7 } } }
-  in
-  let run_at rate = P.run compiled (cfg_at rate) in
-  let base_res, base_rt = run_at 0.0 in
-  record_experiment ~tag:"faults-pc-list-r0" ~cycles:base_res.cycles base_rt;
+  let base_res, base_rt = run pc_list in
+  record_run pc_list.tag base_res.cycles base_rt;
   let t =
     T.create
       ~title:(Printf.sprintf
@@ -588,83 +684,53 @@ let faults_section () =
                 "timeouts"; "escalations"; "retry stall"; "degrade steps" ]
   in
   List.iter
-    (fun (tag, rate) ->
-      let res, rt = run_at rate in
+    (fun (rate, c) ->
+      let res, rt = run c in
       (* 1. Faults never corrupt data: only completion times move. *)
-      if res.output <> base_res.output then begin
-        Printf.eprintf "FAULTS: outputs diverge at rate %.2f\n" rate;
-        exit 1
-      end;
+      if res.output <> base_res.output then fail "outputs diverge at rate %.2f" rate;
       let prof = R.Runtime.profile rt in
       let attr = R.Runtime.attribution rt in
       (* 2. Profiler exactness survives retries and backoff waits. *)
-      if O.Profile.attributed prof <> res.cycles then begin
-        Printf.eprintf "FAULTS: profile attributed %d <> cycles %d at rate %.2f\n"
+      if O.Profile.attributed prof <> res.cycles then
+        fail "profile attributed %d <> cycles %d at rate %.2f"
           (O.Profile.attributed prof) res.cycles rate;
-        exit 1
-      end;
       (* 3. Ledger exactness, with the retry cost visible as Retry. *)
       let stall = res.cycles - O.Profile.compute prof in
-      if O.Attribution.total attr <> stall then begin
-        Printf.eprintf "FAULTS: ledger total %d <> stall %d at rate %.2f\n"
-          (O.Attribution.total attr) stall rate;
-        exit 1
-      end;
+      if O.Attribution.total attr <> stall then
+        fail "ledger total %d <> stall %d at rate %.2f" (O.Attribution.total attr)
+          stall rate;
       let retry_stall =
         List.fold_left
           (fun acc (c, v) -> if c = O.Attribution.Retry then acc + v else acc)
           0 (O.Attribution.cause_totals attr)
       in
-      if rate > 0.0 && retry_stall = 0 then begin
-        Printf.eprintf "FAULTS: no Retry stall charged at rate %.2f\n" rate;
-        exit 1
-      end;
+      if rate > 0.0 && retry_stall = 0 then
+        fail "no Retry stall charged at rate %.2f" rate;
       (* 4. Degradation keeps the fault tax bounded. *)
-      if res.cycles > fault_slowdown_bound * base_res.cycles then begin
-        Printf.eprintf "FAULTS: %d cycles > %dx fault-free %d at rate %.2f\n"
-          res.cycles fault_slowdown_bound base_res.cycles rate;
-        exit 1
-      end;
-      record_experiment ~tag ~cycles:res.cycles rt;
-      let fs : Cards_net.Fabric.stats = R.Runtime.fabric_stats rt in
+      if res.cycles > fault_slowdown_bound * base_res.cycles then
+        fail "%d cycles > %dx fault-free %d at rate %.2f" res.cycles
+          fault_slowdown_bound base_res.cycles rate;
+      record_run c.tag res.cycles rt;
+      let fs = R.Runtime.fabric_stats rt in
       let s = R.Runtime.stats rt in
       T.add_row t
         [ Printf.sprintf "%.2f" rate; mcycles res.cycles;
           Printf.sprintf "%.2fx"
             (float_of_int res.cycles /. float_of_int base_res.cycles);
-          string_of_int (Cards_net.Fabric.faults_injected fs);
+          string_of_int (F.faults_injected fs);
           string_of_int (R.Rt_stats.retries s);
           string_of_int (R.Rt_stats.timeouts s);
           string_of_int (R.Rt_stats.escalations s);
           mcycles retry_stall ^ " Mc";
           Printf.sprintf "%d/%d" (R.Rt_stats.degrade_steps s)
             (R.Rt_stats.recover_steps s) ])
-    [ ("faults-pc-list-r5", 0.05); ("faults-pc-list-r20", 0.2);
-      ("faults-pc-list-r50", 0.5) ];
+    [ (0.05, pc_list_r5); (0.2, pc_list_r20); (0.5, pc_list_r50) ];
   T.print t;
   (* Same seed, same schedule: the whole fault path is deterministic. *)
-  let again, _ = run_at 0.2 in
-  let once =
-    List.find_map
-      (fun e ->
-        match e with
-        | J.Obj fields
-          when List.assoc_opt "tag" fields = Some (J.Str "faults-pc-list-r20")
-          -> (match List.assoc_opt "cycles" fields with
-              | Some (J.Int c) -> Some c
-              | _ -> None)
-        | _ -> None)
-      !experiments
-  in
-  (match once with
-   | Some c when c <> again.cycles ->
-     Printf.eprintf "FAULTS: rate 0.2 not deterministic (%d then %d)\n" c
-       again.cycles;
-     exit 1
-   | Some _ -> ()
-   | None ->
-     Printf.eprintf "FAULTS: determinism check lost its first run\n";
-     exit 1);
+  let once, _ = run pc_list_r20 in
+  let again, _ = fresh pc_list_r20 in
+  if again.cycles <> once.cycles then
+    fail "rate 0.2 not deterministic (%d then %d)" once.cycles again.cycles;
   print_endline
     "Outputs bit-identical to the fault-free run at every rate; the\n\
      profiler and stall ledger stay exact (Retry bucket included); the\n\
@@ -690,8 +756,7 @@ let faults_section () =
      4. the critical path is non-trivial: the analyzer finds a chain
         with nonzero stall.
 
-   Both the run's cycles and its critical-path length enter the JSON
-   snapshot, so BENCH_spans.json gates them across PRs. *)
+   Each run's record gains its critical-path length. *)
 
 let spans_section () =
   header "Spans: causal tracing, ledger reconciliation, critical path";
@@ -701,40 +766,22 @@ let spans_section () =
       ~header:[ "workload"; "Mcycles"; "spans"; "chain spans"; "chain stall";
                 "dominant phase" ]
   in
-  let run_one tag compiled cfg =
-    let bare_res, bare_rt = P.run compiled cfg in
-    let obs = O.Sink.create ~span_rate:1.0 () in
-    let res, rt = P.run ~obs compiled cfg in
+  let run_one c =
+    let tag = "spans-" ^ c.tag in
+    let bare_res, bare_rt = run c in
+    let res, rt, col = traced c in
     (* 1. Tracing never writes the clock or the program. *)
-    if res <> bare_res then begin
-      Printf.eprintf "SPANS: traced run diverges from bare run on %s\n" tag;
-      exit 1
-    end;
-    if R.Runtime.stats rt <> R.Runtime.stats bare_rt then begin
-      Printf.eprintf "SPANS: traced stats diverge from bare stats on %s\n" tag;
-      exit 1
-    end;
+    if res <> bare_res then fail "traced run diverges from bare run on %s" tag;
+    if R.Runtime.stats rt <> R.Runtime.stats bare_rt then
+      fail "traced stats diverge from bare stats on %s" tag;
     let attr = R.Runtime.attribution rt in
     if
       O.Attribution.cause_totals attr
       <> O.Attribution.cause_totals (R.Runtime.attribution bare_rt)
-    then begin
-      Printf.eprintf "SPANS: traced ledger diverges from bare ledger on %s\n"
-        tag;
-      exit 1
-    end;
-    let col =
-      match O.Sink.spans obs with
-      | Some c -> c
-      | None ->
-        Printf.eprintf "SPANS: sink built without a collector on %s\n" tag;
-        exit 1
-    in
+    then fail "traced ledger diverges from bare ledger on %s" tag;
     (* 2. Acyclicity and id discipline. *)
-    if not (O.Span.well_formed col) then begin
-      Printf.eprintf "SPANS: span graph not well formed on %s\n" tag;
-      exit 1
-    end;
+    if not (O.Span.well_formed col) then
+      fail "span graph not well formed on %s" tag;
     (* 3. Exact reconciliation against the stall ledger at rate 1.0. *)
     let tot = O.Span.cpu_totals col in
     let ledger cause =
@@ -743,11 +790,8 @@ let spans_section () =
         0 (O.Attribution.cause_totals attr)
     in
     let check what spans ledger_v =
-      if spans <> ledger_v then begin
-        Printf.eprintf "SPANS: %s: span %s %d <> ledger %d\n" tag what spans
-          ledger_v;
-        exit 1
-      end
+      if spans <> ledger_v then
+        fail "%s: span %s %d <> ledger %d" tag what spans ledger_v
     in
     check "proto" tot.O.Span.tot_proto (ledger O.Attribution.Proto);
     check "wire" tot.O.Span.tot_wire (ledger O.Attribution.Wire);
@@ -769,16 +813,11 @@ let spans_section () =
     let rep =
       match O.Critical_path.analyze col with
       | Some r when r.O.Critical_path.r_chain_stall > 0 -> r
-      | Some _ ->
-        Printf.eprintf "SPANS: critical path has zero stall on %s\n" tag;
-        exit 1
-      | None ->
-        Printf.eprintf "SPANS: no spans recorded on %s\n" tag;
-        exit 1
+      | Some _ -> fail "critical path has zero stall on %s" tag
+      | None -> fail "no spans recorded on %s" tag
     in
-    record_experiment ~tag ~cycles:res.cycles rt;
-    record_experiment ~tag:(tag ^ "-critical-path")
-      ~cycles:rep.O.Critical_path.r_chain_stall rt;
+    record_run c.tag res.cycles rt;
+    record c.tag [ ("critical_path_cycles", rep.O.Critical_path.r_chain_stall) ];
     let ph = rep.O.Critical_path.r_phases in
     let dominant =
       List.fold_left
@@ -798,31 +837,7 @@ let spans_section () =
         T.fmt_cycles (float_of_int rep.O.Critical_path.r_chain_stall);
         dominant ]
   in
-  let pc =
-    P.compile_source (W.Pointer_chase.source ~variant:"list" ~scale:16384 ~passes:2)
-  in
-  let wss = wss_of pc in
-  let local = wss / 2 in
-  let remot = local / 4 in
-  run_one "spans-pc-list" pc (cards_cfg ~k:1.0 ~local ~remot ());
-  let faulty =
-    let base = cards_cfg ~k:1.0 ~local ~remot () in
-    { base with
-      R.Runtime.fabric_config =
-        { base.R.Runtime.fabric_config with
-          Cards_net.Fabric.faults =
-            { Cards_net.Fabric.no_faults with
-              Cards_net.Fabric.fault_rate = 0.2; fault_seed = 7 } } }
-  in
-  run_one "spans-pc-list-r20" pc faulty;
-  let analytics =
-    P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2)
-  in
-  let wss = wss_of analytics in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  run_one "spans-analytics" analytics
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  List.iter run_one [ pc_list; pc_list_r20; analytics ];
   T.print t;
   print_endline
     "Tracing is read-only (traced runs bit-identical to bare runs); at\n\
@@ -1032,8 +1047,6 @@ let bechamel () =
 (* Host: pre-decoded engine vs reference interpreter.               *)
 (* ---------------------------------------------------------------- *)
 
-module M = Cards_interp.Machine
-
 (* Compute-bound and all-local, so host time measures engine dispatch
    rather than the simulated memory system: the reference
    tree-walker's per-instruction pattern matches against the decoded
@@ -1079,10 +1092,7 @@ let host () =
     res_r.M.output <> res_d.M.output
     || res_r.M.cycles <> res_d.M.cycles
     || res_r.M.instructions <> res_d.M.instructions
-  then begin
-    Printf.eprintf "HOST: engines diverge on the arithmetic workload\n";
-    exit 1
-  end;
+  then fail "engines diverge on the arithmetic workload";
   let ips res dt = float_of_int res.M.instructions /. Float.max dt 1e-9 in
   (* A wall-clock ratio on a shared host drifts with CPU frequency;
      right at the threshold that reads as flakiness, not regression.
@@ -1112,7 +1122,7 @@ let host () =
   T.print t;
   (* Only the deterministic simulated cycles enter the JSON snapshot;
      the wall-clock ratio is asserted here, not gated there. *)
-  record_experiment ~tag:"host-arith" ~cycles:res_d.M.cycles rt_d;
+  record_run "host-arith" res_d.M.cycles rt_d;
   (* Guard-heavy identity under the full CaRDS runtime: the fig9 list
      chase drives the translation-cache fast path hard, and both
      engines must agree on the whole result record. *)
@@ -1123,18 +1133,12 @@ let host () =
   let cfg = cards_cfg ~k:1.0 ~local:(kb 16) ~remot:(kb 8) () in
   let dres, drt = P.run ~engine:M.Decoded pc cfg in
   let rres, _ = P.run ~engine:M.Reference pc cfg in
-  if dres <> rres then begin
-    Printf.eprintf
-      "HOST: engines diverge on pc-list (decoded %d cycles, reference %d)\n"
+  if dres <> rres then
+    fail "engines diverge on pc-list (decoded %d cycles, reference %d)"
       dres.M.cycles rres.M.cycles;
-    exit 1
-  end;
-  record_experiment ~tag:"host-pc-list" ~cycles:dres.M.cycles drt;
-  if ratio < 2.0 then begin
-    Printf.eprintf
-      "HOST: decoded engine speedup %.2fx below the required 2.00x\n" ratio;
-    exit 1
-  end;
+  record_run "host-pc-list" dres.M.cycles drt;
+  if ratio < 2.0 then
+    fail "decoded engine speedup %.2fx below the required 2.00x" ratio;
   Printf.printf "decoded engine: %s over the reference, outputs identical\n"
     (fx ratio)
 
@@ -1160,19 +1164,10 @@ let host () =
         match the untransformed program, across qp {1,2,4} x batching
         on/off x fault rate {0, 0.2}.
 
-   Both runs of each pair enter the JSON snapshot, so
-   BENCH_layout.json gates the factorization win across PRs. *)
+   Both runs of each pair are recorded. *)
 
 let layout_section () =
   header "Layout: compiler factorization (hot/cold side pools, AoS->SoA)";
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let fact_options = { P.cards_options with factorize = true } in
   let per_ds_sum rt =
     List.fold_left
       (fun acc (r : R.Runtime.ds_report) ->
@@ -1186,46 +1181,31 @@ let layout_section () =
                 "byte win" ]
   in
   List.iter
-    (fun (name, src, local, remot) ->
-      let plain = P.compile_source src in
-      let fact = P.compile_source ~options:fact_options src in
-      let cfg =
-        cards_cfg ~policy:R.Policy.All_remotable ~k:0.0 ~local ~remot ()
-      in
-      let pres, prt = P.run plain cfg in
-      let fres, frt = P.run fact cfg in
+    (fun (plain, fact) ->
+      let name = plain.tag in
+      let pres, prt = run plain in
+      let fres, frt = run fact in
       (* 1. Layout changes are invisible to the program. *)
-      if fres.M.output <> pres.M.output then begin
-        Printf.eprintf "LAYOUT: outputs diverge under --factorize on %s\n" name;
-        exit 1
-      end;
-      let pb = (R.Runtime.fabric_stats prt).Cards_net.Fabric.fetched_bytes in
-      let fb = (R.Runtime.fabric_stats frt).Cards_net.Fabric.fetched_bytes in
+      if fres.M.output <> pres.M.output then
+        fail "outputs diverge under --factorize on %s" name;
+      let pb = (R.Runtime.fabric_stats prt).fetched_bytes in
+      let fb = (R.Runtime.fabric_stats frt).fetched_bytes in
       (* 2. Strictly fewer bytes and strictly fewer cycles. *)
-      if fb >= pb then begin
-        Printf.eprintf "LAYOUT: fetched bytes did not shrink on %s (%d >= %d)\n"
-          name fb pb;
-        exit 1
-      end;
-      if fres.M.cycles >= pres.M.cycles then begin
-        Printf.eprintf "LAYOUT: factorization did not pay on %s (%d >= %d)\n"
-          name fres.M.cycles pres.M.cycles;
-        exit 1
-      end;
+      if fb >= pb then
+        fail "fetched bytes did not shrink on %s (%d >= %d)" name fb pb;
+      if fres.M.cycles >= pres.M.cycles then
+        fail "factorization did not pay on %s (%d >= %d)" name fres.M.cycles
+          pres.M.cycles;
       (* 3. The per-structure mirror of the fabric's byte counter is
          exact on both runs. *)
-      if per_ds_sum prt <> pb || per_ds_sum frt <> fb then begin
-        Printf.eprintf
-          "LAYOUT: per-ds fetched bytes (%d / %d) do not sum to the fabric's \
-           (%d / %d) on %s\n"
+      if per_ds_sum prt <> pb || per_ds_sum frt <> fb then
+        fail "per-ds fetched bytes (%d / %d) do not sum to the fabric's \
+              (%d / %d) on %s"
           (per_ds_sum prt) (per_ds_sum frt) pb fb name;
-        exit 1
-      end;
-      record_experiment ~tag:("layout-" ^ name ^ "-plain") ~cycles:pres.M.cycles
-        prt;
-      record_experiment ~tag:("layout-" ^ name ^ "-fact") ~cycles:fres.M.cycles
-        frt;
+      record_run plain.tag pres.M.cycles prt;
+      record_run fact.tag fres.M.cycles frt;
       (* 4. Differential oracle on the transformed module. *)
+      let cfg = Lazy.force fact.cfg and fact = Lazy.force fact.compiled in
       List.iter
         (fun qp ->
           List.iter
@@ -1233,32 +1213,20 @@ let layout_section () =
               List.iter
                 (fun rate ->
                   let dcfg =
-                    { cfg with
-                      R.Runtime.batching;
-                      fabric_config =
-                        { cfg.R.Runtime.fabric_config with
-                          Cards_net.Fabric.qp_count = qp;
-                          faults =
-                            { Cards_net.Fabric.no_faults with
-                              Cards_net.Fabric.fault_rate = rate;
-                              fault_seed = 11 } } }
+                    with_faults ~seed:11 rate
+                      { cfg with
+                        batching;
+                        fabric_config = { cfg.fabric_config with qp_count = qp } }
                   in
                   let d, _ = P.run ~engine:M.Decoded fact dcfg in
                   let r, _ = P.run ~engine:M.Reference fact dcfg in
-                  if d <> r then begin
-                    Printf.eprintf
-                      "LAYOUT: engines diverge on %s (qp %d, batching %b, \
-                       rate %.1f)\n"
+                  if d <> r then
+                    fail "engines diverge on %s (qp %d, batching %b, rate %.1f)"
                       name qp batching rate;
-                    exit 1
-                  end;
-                  if d.M.output <> pres.M.output then begin
-                    Printf.eprintf
-                      "LAYOUT: factorized output diverges on %s (qp %d, \
-                       batching %b, rate %.1f)\n"
-                      name qp batching rate;
-                    exit 1
-                  end)
+                  if d.M.output <> pres.M.output then
+                    fail "factorized output diverges on %s (qp %d, batching \
+                          %b, rate %.1f)"
+                      name qp batching rate)
                 [ 0.0; 0.2 ])
             [ true; false ])
         [ 1; 2; 4 ];
@@ -1266,9 +1234,7 @@ let layout_section () =
         [ name; mcycles pres.M.cycles; mcycles fres.M.cycles;
           T.fmt_bytes (float_of_int pb); T.fmt_bytes (float_of_int fb);
           fx (float_of_int pb /. float_of_int fb) ])
-    [ ("fig9-list", read_file "examples/minic/fig9_list.mc", kb 1024, kb 768);
-      ("analytics-aos", W.Analytics.source_aos ~trips:20000 ~query_passes:2,
-       kb 2048, kb 1024) ];
+    [ (fig9_list, fig9_list_fact); (analytics_aos, analytics_aos_fact) ];
   T.print t;
   print_endline
     "Hot/cold splitting shrinks the chased node to its hot half; the\n\
@@ -1295,30 +1261,17 @@ let layout_section () =
      4. the prediction lands within WHATIF_REL_ERROR of the measured
         re-run.
 
-   Both measured and predicted cycles of every scenario enter the JSON
-   snapshot, so BENCH_whatif.json gates the predictor itself — not
-   just the runs — across PRs. *)
+   Every re-executed scenario is recorded with its prediction as
+   `pred_cycles`, so the gate covers the predictor itself — not just
+   the runs. *)
 
 let whatif_rel_error = 0.15
 
 let whatif_section () =
   header "What-if: virtual speedups (span-graph replay vs re-execution)";
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "WHATIF: %s\n" m; exit 1) fmt in
-  let run_one wl compiled cfg =
-    let obs = O.Sink.create ~span_rate:1.0 () in
-    let res, rt = P.run ~obs compiled cfg in
-    let col =
-      match O.Sink.spans obs with
-      | Some c -> c
-      | None -> fail "sink built without a collector on %s" wl
-    in
+  let run_one c =
+    let wl = c.tag and cfg = Lazy.force c.cfg in
+    let res, rt, col = traced c in
     let names = R.Runtime.ds_name rt in
     let ranked =
       O.Whatif.rank ~total:res.M.cycles col (O.Whatif.catalog ~names col)
@@ -1343,8 +1296,7 @@ let whatif_section () =
          fail "identity chain stall %d <> critical path %d on %s"
            ident.O.Whatif.p_chain_stall r.O.Critical_path.r_chain_stall wl
      | None -> fail "no spans recorded on %s" wl);
-    record_experiment ~tag:("whatif-" ^ wl ^ "-baseline") ~cycles:res.M.cycles
-      rt;
+    record_run wl res.M.cycles rt;
     let rows =
       List.map
         (fun (p : O.Whatif.prediction) ->
@@ -1353,7 +1305,7 @@ let whatif_section () =
             match R.Runtime.whatif_config cfg sc.O.Whatif.sc_exec with
             | None -> None
             | Some cfg' ->
-              let res', rt' = P.run compiled cfg' in
+              let res', rt' = P.run (Lazy.force c.compiled) cfg' in
               (* 2. Timing-only perturbation; identity fully identical. *)
               if res'.M.output <> res.M.output then
                 fail "%s/%s: perturbed run diverged in output" wl
@@ -1380,12 +1332,10 @@ let whatif_section () =
                 fail "%s/%s: predicted %d vs measured %d (%.1f%% > %.0f%%)" wl
                   sc.O.Whatif.sc_id p.p_cycles res'.M.cycles (100.0 *. err)
                   (100.0 *. whatif_rel_error);
-              record_experiment
-                ~tag:("whatif-" ^ wl ^ "-" ^ sc.O.Whatif.sc_id)
-                ~cycles:res'.M.cycles rt';
-              record_experiment
-                ~tag:("whatif-" ^ wl ^ "-" ^ sc.O.Whatif.sc_id ^ "-pred")
-                ~cycles:p.p_cycles rt';
+              record
+                ("whatif-" ^ wl ^ "-" ^ sc.O.Whatif.sc_id)
+                (run_metrics res'.M.cycles (R.Runtime.fabric_stats rt')
+                @ [ ("pred_cycles", p.p_cycles) ]);
               Some res'.M.cycles
           in
           (p, measured))
@@ -1397,19 +1347,9 @@ let whatif_section () =
          rows)
   in
   (* The layout suite's fig9 list chase: all-remotable, cache < WSS. *)
-  let fig9 = P.compile_source (read_file "examples/minic/fig9_list.mc") in
-  run_one "fig9-list" fig9
-    (cards_cfg ~policy:R.Policy.All_remotable ~k:0.0 ~local:(kb 1024)
-       ~remot:(kb 768) ());
+  run_one fig9_list;
   (* The spans suite's analytics workload at 50% local. *)
-  let analytics =
-    P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2)
-  in
-  let wss = wss_of analytics in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  run_one "analytics" analytics
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  run_one analytics;
   print_endline
     "The identity scenario reproduces the measured run and the critical\n\
      path to the cycle; every other scenario is re-executed for real \n\
@@ -1429,18 +1369,51 @@ let whatif_section () =
 (*     faulty tenant's service cycles strictly grow and its runtime  *)
 (*     ends degraded;                                                *)
 (*   - per-tenant outputs invariant under faults (timing-only).     *)
-(* The gate then diffs per-tenant service cycles, p99 latencies and  *)
-(* fabric counters against BENCH_serve.json.                         *)
+(* Both runs are recorded: per-tenant service cycles, p99 latency    *)
+(* and fabric counters, and the run totals.                          *)
 (* ---------------------------------------------------------------- *)
+
+(* The exact decompositions of a serving run: serving clock = busy +
+   idle, busy = sum of per-tenant service cycles, per-tenant fetched
+   bytes sum to the aggregate fabric counter, DRR credit conserved. *)
+let check_serving tag (r : S.result) =
+  let busy =
+    Array.fold_left (fun acc tr -> acc + tr.S.tr_service_cycles) 0 r.S.tenants
+  in
+  if r.S.busy_cycles <> busy then
+    fail "%s: busy %d <> sum of service cycles %d" tag r.S.busy_cycles busy;
+  if r.S.total_cycles <> r.S.busy_cycles + r.S.idle_cycles then
+    fail "%s: clock %d <> busy %d + idle %d" tag r.S.total_cycles
+      r.S.busy_cycles r.S.idle_cycles;
+  let bytes =
+    Array.fold_left
+      (fun acc tr -> acc + tr.S.tr_fabric.F.fetched_bytes)
+      0 r.S.tenants
+  in
+  if r.S.fabric.F.fetched_bytes <> bytes then
+    fail "%s: aggregate fetched bytes %d <> per-tenant sum %d" tag
+      r.S.fabric.F.fetched_bytes bytes;
+  let deficits =
+    Array.fold_left (fun acc tr -> acc + tr.S.tr_deficit_end) 0 r.S.tenants
+  in
+  if r.S.granted - r.S.charged - r.S.forfeited <> deficits then
+    fail "%s: DRR credit leaked (%d granted - %d charged - %d forfeited <> \
+          %d in deficit)"
+      tag r.S.granted r.S.charged r.S.forfeited deficits
+
+(* One record per tenant (service cycles, fabric counters, [extra]) and
+   one for the run's totals. *)
+let record_serving ?(extra = fun _ -> []) prefix (r : S.result) =
+  Array.iter
+    (fun (tr : S.tenant_result) ->
+      record (prefix ^ "-" ^ tr.S.tr_name)
+        (run_metrics tr.S.tr_service_cycles tr.S.tr_fabric @ extra tr))
+    r.S.tenants;
+  record (prefix ^ "-total") (run_metrics r.S.total_cycles r.S.fabric)
 
 let serve_section () =
   header "Serving: DRR fairness and fault isolation (4-tenant Zipf mix)";
-  let module S = Cards_serve.Serve in
   let module St = Cards_util.Stats in
-  let module F = Cards_net.Fabric in
-  let fail fmt =
-    Printf.ksprintf (fun m -> Printf.eprintf "SERVE: %s\n" m; exit 1) fmt
-  in
   let n = 4 and seed = 7 and requests = 120 and base_gap = 40_000.0 in
   let faulty_tenant = 1 and fault_rate = 0.20 in
   let cfg = S.default_config in
@@ -1448,36 +1421,11 @@ let serve_section () =
     S.run cfg (S.zipf_mix ?faulty ~n ~seed ~requests ~base_gap ())
   in
   let p99 (tr : S.tenant_result) = St.percentile tr.S.tr_latency 99.0 in
-  let check_exact tag (r : S.result) =
-    let busy =
-      Array.fold_left (fun acc tr -> acc + tr.S.tr_service_cycles) 0 r.S.tenants
-    in
-    if r.S.busy_cycles <> busy then
-      fail "%s: busy %d <> sum of service cycles %d" tag r.S.busy_cycles busy;
-    if r.S.total_cycles <> r.S.busy_cycles + r.S.idle_cycles then
-      fail "%s: clock %d <> busy %d + idle %d" tag r.S.total_cycles
-        r.S.busy_cycles r.S.idle_cycles;
-    let bytes =
-      Array.fold_left
-        (fun acc tr -> acc + tr.S.tr_fabric.F.fetched_bytes)
-        0 r.S.tenants
-    in
-    if r.S.fabric.F.fetched_bytes <> bytes then
-      fail "%s: aggregate fetched bytes %d <> per-tenant sum %d" tag
-        r.S.fabric.F.fetched_bytes bytes;
-    let deficits =
-      Array.fold_left (fun acc tr -> acc + tr.S.tr_deficit_end) 0 r.S.tenants
-    in
-    if r.S.granted - r.S.charged - r.S.forfeited <> deficits then
-      fail "%s: DRR credit leaked (%d granted - %d charged - %d forfeited <> \
-            %d in deficit)"
-        tag r.S.granted r.S.charged r.S.forfeited deficits
-  in
   let a = run_mix () in
   let a2 = run_mix () in
   let b = run_mix ~faulty:(faulty_tenant, fault_rate) () in
-  check_exact "fault-free" a;
-  check_exact "faulty" b;
+  check_serving "fault-free" a;
+  check_serving "faulty" b;
   (* Same-seed determinism, whole result records. *)
   Array.iteri
     (fun i (tr : S.tenant_result) ->
@@ -1546,33 +1494,9 @@ let serve_section () =
              (fun (tr : S.tenant_result) ->
                (tr.S.tr_name, tr.S.tr_latency, tr.S.tr_served))
              b.S.tenants)));
-  (* Record per-tenant experiments (service cycles + fabric) and p99
-     pseudo-experiments for both runs; all deterministic. *)
-  let record prefix (r : S.result) =
-    Array.iter
-      (fun (tr : S.tenant_result) ->
-        experiments :=
-          J.Obj
-            [ ("tag", J.Str (prefix ^ "-" ^ tr.S.tr_name));
-              ("cycles", J.Int tr.S.tr_service_cycles);
-              ("fabric", fabric_json tr.S.tr_fabric) ]
-          :: !experiments;
-        experiments :=
-          J.Obj
-            [ ("tag", J.Str (prefix ^ "-" ^ tr.S.tr_name ^ "-p99"));
-              ("cycles", J.Int (int_of_float (p99 tr)));
-              ("fabric", fabric_json tr.S.tr_fabric) ]
-          :: !experiments)
-      r.S.tenants;
-    experiments :=
-      J.Obj
-        [ ("tag", J.Str (prefix ^ "-total"));
-          ("cycles", J.Int r.S.total_cycles);
-          ("fabric", fabric_json r.S.fabric) ]
-      :: !experiments
-  in
-  record "serve-clean" a;
-  record "serve-faulty" b;
+  let extra tr = [ ("p99_cycles", int_of_float (p99 tr)) ] in
+  record_serving ~extra "serve-clean" a;
+  record_serving ~extra "serve-faulty" b;
   Printf.printf
     "\n-- serving clock %s Mc (%s busy, %s idle), %d DRR rounds; every\n\
      \   decomposition, determinism and isolation check above is a hard\n\
@@ -1589,12 +1513,7 @@ let wall = Unix.gettimeofday
 
 let par_section () =
   header "Par: parallel serving on OCaml 5 domains (deterministic virtual time)";
-  let module S = Cards_serve.Serve in
   let module E = Cards_par.Engine in
-  let module F = Cards_net.Fabric in
-  let fail fmt =
-    Printf.ksprintf (fun m -> Printf.eprintf "PAR: %s\n" m; exit 1) fmt
-  in
   let n = 8 and seed = 11 and requests = 60 and gap = 30_000.0 in
   let cfg = S.default_config in
   (* Two mixes: the uniform kv mix is perfectly balanced across
@@ -1623,26 +1542,9 @@ let par_section () =
   let zseq = S.run cfg (zspecs ()) in
   (* Exactness of the sequential references themselves, so identical
      parallel runs inherit the same decompositions.  The byte check
-     runs on the Zipf mix, whose analytics tenants actually fetch. *)
-  let check_exact tag (r : S.result) =
-    let busy =
-      Array.fold_left (fun acc tr -> acc + tr.S.tr_service_cycles) 0 r.S.tenants
-    in
-    if r.S.busy_cycles <> busy then
-      fail "%s: busy %d <> sum of service cycles %d" tag r.S.busy_cycles busy;
-    if r.S.total_cycles <> r.S.busy_cycles + r.S.idle_cycles then
-      fail "%s: clock %d <> busy + idle" tag r.S.total_cycles;
-    let bytes =
-      Array.fold_left
-        (fun acc tr -> acc + tr.S.tr_fabric.F.fetched_bytes)
-        0 r.S.tenants
-    in
-    if r.S.fabric.F.fetched_bytes <> bytes then
-      fail "%s: aggregate fetched bytes %d <> per-tenant sum %d" tag
-        r.S.fabric.F.fetched_bytes bytes
-  in
-  check_exact "seq uniform" seq;
-  check_exact "seq zipf" zseq;
+     bites on the Zipf mix, whose analytics tenants actually fetch. *)
+  check_serving "seq uniform" seq;
+  check_serving "seq zipf" zseq;
   if zseq.S.fabric.F.fetched_bytes = 0 then
     fail "zipf mix moved no bytes: the fabric cells below are vacuous";
   (* Every domain count, both mixes, a faulty-fabric cell, and a
@@ -1706,48 +1608,27 @@ let par_section () =
   T.add_row t [ "1"; Printf.sprintf "%.3f" t1; fx 1.0 ];
   T.add_row t [ "4"; Printf.sprintf "%.3f" t4; fx speedup ];
   T.print t;
-  if cores >= 4 then begin
-    if speedup < 2.5 then
-      fail "4-domain speedup %.2fx below the 2.5x gate (%d cores)" speedup
-        cores
-  end
+  if cores >= 4 && speedup < 2.5 then
+    fail "4-domain speedup %.2fx below the 2.5x gate (%d cores)" speedup cores;
+  (* Host facts are printed, never recorded: the snapshot holds only
+     deterministic numbers, so a green gate on any host leaves it as it
+     was. *)
+  if cores >= 4 then
+    Printf.printf
+      "\n-- host reports %d core(s): the >=2.5x @ 4 domains wall-clock gate \
+       holds (measured %.2fx).\n"
+      cores speedup
   else
     Printf.printf
       "\n-- host reports %d core(s): the >=2.5x @ 4 domains wall-clock gate \
        needs >= 4;\n\
        \   asserting bit-identicality only (measured %.2fx).\n"
       cores speedup;
-  (* Only deterministic numbers are gated: per-tenant service cycles and
-     fabric counters from the (identical) runs.  The wall-clock entry
-     carries no "cycles"/"fabric" fields, so the regression gate ignores
-     it — it is a recorded observation, not a contract. *)
-  let record prefix (r : S.result) =
-    Array.iter
-      (fun (tr : S.tenant_result) ->
-        experiments :=
-          J.Obj
-            [ ("tag", J.Str (prefix ^ "-" ^ tr.S.tr_name));
-              ("cycles", J.Int tr.S.tr_service_cycles);
-              ("fabric", fabric_json tr.S.tr_fabric) ]
-          :: !experiments)
-      r.S.tenants;
-    experiments :=
-      J.Obj
-        [ ("tag", J.Str (prefix ^ "-total"));
-          ("cycles", J.Int r.S.total_cycles);
-          ("fabric", fabric_json r.S.fabric) ]
-      :: !experiments
-  in
-  record "par" seq;
-  record "par-zipf" zseq;
-  record "par-zipf-faulty" zseq_f;
-  experiments :=
-    J.Obj
-      [ ("tag", J.Str "par-wallclock-info");
-        ("cores", J.Int cores);
-        ("speedup_milli", J.Int (int_of_float (speedup *. 1000.0)));
-        ("gate_armed", J.Int (if cores >= 4 then 1 else 0)) ]
-    :: !experiments;
+  (* The deterministic per-tenant service cycles and fabric counters of
+     the (identical) runs. *)
+  record_serving "par" seq;
+  record_serving "par-zipf" zseq;
+  record_serving "par-zipf-faulty" zseq_f;
   Printf.printf
     "\n-- all domain counts bit-identical to the sequential scheduler \
      (clean,\n\
@@ -1829,7 +1710,9 @@ let () =
   List.iter
     (fun name ->
       match List.assoc_opt name sections with
-      | Some f -> f ()
+      | Some f ->
+        section := name;
+        f ()
       | None ->
         Printf.eprintf "unknown section %S; available: %s\n" name
           (String.concat " " (List.map fst sections));
@@ -1839,13 +1722,15 @@ let () =
   match baseline with
   | None -> ()
   | Some (path, base) ->
+    let current = snapshot () in
     let violations =
-      O.Regress.compare_snapshots ~tolerance:!tolerance ~baseline:base
-        ~current:(current_doc ()) ()
+      O.Regress.compare_snapshots ~tolerance:!tolerance ~sections:chosen
+        ~baseline:base ~current ()
     in
     if violations = [] then
-      Printf.eprintf "-- regression gate: %d experiment(s) within %.1f%% of %s\n"
-        (List.length !experiments) (100.0 *. !tolerance) path
+      Printf.eprintf "-- regression gate: %d metric(s) within %.1f%% of %s\n"
+        (O.Regress.compared_metrics ~sections:chosen ~baseline:base ~current ())
+        (100.0 *. !tolerance) path
     else begin
       List.iter
         (fun v -> Printf.eprintf "%s\n" (O.Regress.format_violation v))

@@ -83,9 +83,6 @@ val build_for :
     [for (i = init; i < limit; i += step) body(i)] around the cursor,
     leaving the cursor in the exit block. *)
 
-val build_while : t -> cond:(t -> Instr.value) -> (t -> unit) -> unit
-(** [build_while b ~cond body]: [while (cond()) body()]. *)
-
 val build_if :
   t -> Instr.value -> (t -> unit) -> (t -> unit) -> unit
 (** [build_if b c then_ else_]. *)

@@ -50,4 +50,3 @@ let float_regs t =
 
 let map_blocks t f = { t with blocks = Array.map f t.blocks }
 
-let with_reg_tys t reg_tys = { t with reg_tys }

@@ -9,8 +9,6 @@ let stderr_reporter =
       output_string stderr s;
       flush stderr)
 
-let enabled t = t.r_emit <> None
-
 let text t s = match t.r_emit with Some emit -> emit s | None -> ()
 
 let line t s =

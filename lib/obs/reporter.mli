@@ -20,10 +20,6 @@ val stderr_reporter : t
 val make : (string -> unit) -> t
 (** A reporter over an arbitrary consumer (test capture buffers). *)
 
-val enabled : t -> bool
-(** Gate expensive report *construction* on this; {!text}/{!line}
-    are already no-ops when disabled. *)
-
 val text : t -> string -> unit
 (** Emit a (possibly multi-line) string as-is. *)
 

@@ -340,8 +340,6 @@ let set_site t ~fn ~block ~instr =
   t.site_block <- block;
   t.site_instr <- instr
 
-let n_ds t = Vec.length t.dss
-
 let get_ds t handle =
   if handle < 1 || handle > Vec.length t.dss then fail "bad handle %d" handle;
   Vec.get t.dss (handle - 1)
@@ -1518,7 +1516,6 @@ let set_fabric_port t p = Fabric.set_port t.fabric p
 let degrade_level t = t.degrade
 let set_fault_rate t rate = Fabric.set_fault_rate t.fabric rate
 let pinned_bytes t = t.pinned_used
-let remotable_resident_bytes t = t.remotable_used
 let pinned_preference t = Array.copy t.pref
 let sink t = t.obs
 let profile t = t.prof

@@ -4,38 +4,32 @@
 # tracing, spans in every export format, metrics, and the
 # cycle-attribution profile on, then make sure every emitted file is
 # non-empty and the Chrome traces are trace_event files), and the bench
-# regression gates: fabric, attribution, fault-injection, causal-span,
-# what-if prediction, execution-engine, layout-factorization and
-# many-tenant serving experiments are diffed against the committed
-# BENCH_fabric.json / BENCH_attr.json / BENCH_faults.json /
-# BENCH_spans.json / BENCH_whatif.json / BENCH_host.json /
-# BENCH_layout.json / BENCH_serve.json baselines (2% relative
-# tolerance) and the
-# snapshots refreshed on a clean pass.  The bench gates run from a
-# release build: the host gate asserts a wall-clock speedup of the
-# pre-decoded engine over the reference interpreter, which only means
-# anything with optimizations on (the cycle gates are deterministic
-# and profile-independent, so sharing the binary costs nothing).
+# regression gate: the nine gated sections of bench/main.exe run in one
+# process, hard-assert the claims their comments in bench/main.ml list,
+# and diff the fresh snapshot against the committed BENCH.json (2%
+# relative tolerance).  The bench runs from a release build: the host
+# section asserts a wall-clock speedup of the pre-decoded engine over
+# the reference interpreter, which only means anything with
+# optimizations on (the cycle metrics are deterministic and
+# profile-independent, so sharing the binary costs nothing).
 #
-# Snapshot refresh is atomic across the whole run: every gate writes
-# its fresh snapshot to a temp directory while comparing against the
-# committed baseline, and the temps move into place only after ALL
-# gates have passed.  A failure partway — even in the last gate —
-# leaves every committed BENCH_*.json exactly as it was.
+# The snapshot refresh is atomic: the fresh snapshot goes to a temp
+# directory and replaces BENCH.json only after every later step has
+# passed too, so a failure anywhere leaves BENCH.json exactly as it was.
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --quick   # build + tests + smoke only: skips the
 #                              # release build and the bench regression
-#                              # gates (the slow half) for inner-loop
-#                              # use; never touches any BENCH_*.json
+#                              # gate (the slow half) for inner-loop
+#                              # use; never touches BENCH.json
 #
 # Both modes end by printing the non-test line ledger (scripts/loc.sh),
 # for information only.
 #
 # Exits non-zero on the first failure.  A regression-gate failure
-# names the experiment, metric, baseline, and observed value on
-# stderr; if the change is intentional, delete the stale BENCH_*.json
-# and re-run to regenerate, or commit an intentionally refreshed one.
+# names the record, metric, baseline, and observed value on stderr; if
+# the change is intentional, commit a refreshed BENCH.json
+# (bench/main.exe <the nine sections> --json BENCH.json).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -123,108 +117,14 @@ if [ "$quick" = yes ]; then
   exit 0
 fi
 
-echo "== dune build (release, for the bench gates)"
+echo "== dune build (release, for the bench gate)"
 dune build --profile release bench/main.exe
-BENCH=_build/default/bench/main.exe
 
-# gate SECTION BASELINE PATTERN — run one bench section, comparing its
-# experiments against the committed BASELINE (which must exist and
-# stays untouched here) and writing the fresh snapshot to the temp
-# directory; PATTERN is a sanity grep proving the snapshot carries the
-# section's counters.  Refreshed snapshots land in $refreshed and move
-# into place only after every gate is green.
-refreshed=""
-gate() {
-  section=$1; base=$2; pattern=$3
-  "$BENCH" --only "$section" \
-    --json "$tmpdir/$base" --compare "$base" --tolerance 0.02 \
-    > /dev/null
-  test -s "$tmpdir/$base" || {
-    echo "check.sh: empty $base from the $section gate" >&2; exit 1; }
-  grep -q "$pattern" "$tmpdir/$base" || {
-    echo "check.sh: $base has no $pattern entries" >&2; exit 1; }
-  refreshed="$refreshed $base"
-}
-
-echo "== bench: fabric batching gate (BENCH_fabric.json, 2% tolerance)"
-# The fabric section is itself an assertion: it exits non-zero if the
-# batched transport fails to beat per-object requests or if outputs
-# diverge.
-gate fabric BENCH_fabric.json '"batches"'
-
-echo "== bench: stall-attribution gate (BENCH_attr.json, 2% tolerance)"
-# The attr section hard-asserts the ledger exactness invariant
-# (sum of per-cause stalls = cycles - compute) on the fig8/fig9
-# workloads, then the gate diffs cycles and fabric counters against
-# the committed baseline.
-gate attr BENCH_attr.json '"experiments"'
-
-echo "== bench: fault-injection gate (BENCH_faults.json, 2% tolerance)"
-# The faults section hard-asserts output invariance vs the fault-free
-# run, profiler/ledger exactness (Retry bucket included), a bounded
-# slowdown under degradation, and same-seed determinism; the gate
-# then diffs cycles and fabric/fault counters against the baseline.
-gate faults BENCH_faults.json '"faults_transient"'
-
-echo "== bench: causal-span gate (BENCH_spans.json, 2% tolerance)"
-# The spans section hard-asserts that span recording is read-only
-# (traced runs bit-identical to bare runs), that the span graph is
-# acyclic, that at rate 1.0 every span phase reconciles exactly with
-# the stall ledger, and that the critical-path analyzer finds a
-# nonzero chain; the gate then diffs each run's cycles and its
-# critical-path length against the baseline.
-gate spans BENCH_spans.json '"spans-pc-list-critical-path"'
-
-echo "== bench: what-if prediction gate (BENCH_whatif.json, 2% tolerance)"
-# The whatif section hard-asserts that the span-graph replay's
-# identity scenario reproduces the measured run and the critical-path
-# chain to the cycle, that every catalog scenario re-executed with the
-# real runtime knob keeps program outputs bit-identical, that
-# predicted-faster implies measured-faster, and that predictions land
-# within 15% of the re-run; the gate then diffs both the measured and
-# the predicted cycles of every scenario against the baseline, so the
-# predictor itself is regression-gated.
-gate whatif BENCH_whatif.json '"whatif-fig9-list-identity-pred"'
-
-echo "== bench: layout-factorization gate (BENCH_layout.json, 2% tolerance)"
-# The layout section hard-asserts that --factorize leaves program
-# outputs bit-identical while strictly shrinking both fetched bytes
-# and cycles on the fig9 list chase and the AoS analytics table, that
-# per-structure fetched-bytes counters sum exactly to the fabric's,
-# and that both engines agree across qp x batching x fault rate on
-# the transformed modules; the gate then diffs the before/after
-# cycles and fabric counters against the baseline.
-gate layout BENCH_layout.json '"layout-fig9-list-fact"'
-
-echo "== bench: engine speedup gate (BENCH_host.json, 2% tolerance)"
-# The host section hard-asserts that the pre-decoded engine is
-# bit-identical to the reference interpreter (arithmetic and pc-list
-# workloads, whole result records) and at least 2x faster in
-# instructions per host second; the gate then diffs the simulated
-# cycles of both workloads against the baseline.  The wall-clock
-# ratio itself is asserted in-process, never gated from JSON.
-gate host BENCH_host.json '"host-arith"'
-
-echo "== bench: serving fairness/isolation gate (BENCH_serve.json, 2% tolerance)"
-# The serve section hard-asserts the serving-clock and fabric
-# decompositions exactly, same-seed determinism of whole runs,
-# output invariance under a faulty tenant, the 1.5x healthy-p99
-# fairness bound with the faulty tenant strictly degrading; the gate
-# then diffs every tenant's service cycles, p99 latency and fabric
-# counters (clean and faulty runs) against the baseline.
-gate serve BENCH_serve.json '"serve-faulty-t1-an-p99"'
-
-echo "== bench: parallel-serving gate (BENCH_par.json, 2% tolerance)"
-# The par section hard-asserts that the domain-parallel engine is
-# bit-identical to the sequential scheduler — whole result records,
-# for 1/2/4 domains, clean and with a faulty tenant, plus a same-count
-# rerun — and re-checks the serving-clock and fetched-bytes
-# decompositions; on hosts reporting >= 4 cores it also asserts a
-# >= 2.5x wall-clock speedup at 4 domains (reported, not asserted,
-# on smaller hosts).  The gate then diffs the deterministic per-tenant
-# service cycles and fabric counters against the baseline; the
-# wall-clock entry carries no gated fields by construction.
-gate par BENCH_par.json '"par-total"'
+echo "== bench: regression gate (BENCH.json, 2% tolerance)"
+_build/default/bench/main.exe fabric attr faults spans whatif layout host serve par \
+  --json "$tmpdir/BENCH.json" --compare BENCH.json --tolerance 0.02 > /dev/null
+test -s "$tmpdir/BENCH.json" || {
+  echo "check.sh: empty BENCH.json from the bench gate" >&2; exit 1; }
 
 echo "== full suite at both ends of the domain matrix"
 # The whole test binary twice, with the par differential tests pinned
@@ -233,11 +133,9 @@ echo "== full suite at both ends of the domain matrix"
 CARDS_TEST_DOMAINS=1 dune exec --no-build test/test_main.exe > /dev/null
 CARDS_TEST_DOMAINS=4 dune exec --no-build test/test_main.exe > /dev/null
 
-# Every gate is green: only now do the fresh snapshots replace the
-# committed ones.
-for base in $refreshed; do
-  mv "$tmpdir/$base" "$base"
-done
+# Everything is green: only now does the fresh snapshot replace the
+# committed one.
+mv "$tmpdir/BENCH.json" BENCH.json
 echo "== non-test line ledger (information only)"
 scripts/loc.sh
-echo "== check.sh: all green (refreshed:$refreshed)"
+echo "== check.sh: all green (refreshed BENCH.json)"

@@ -524,17 +524,29 @@ let test_exporters_on_zero_event_run () =
 
 (* ---------- the bench regression gate ---------- *)
 
-let snapshot cycles fetches =
+(* A schema-2 snapshot: one record per run, flat metrics, the sections
+   that recorded it. *)
+let snapshot ?(p99 = 7_000) ?(sections = [ "fabric"; "attr" ]) cycles fetches =
   J.Obj
-    [ ("experiments",
+    [ ("records",
        J.List
          [ J.Obj
-             [ ("tag", J.Str "pc-list-batched");
+             [ ("tag", J.Str "pc-list");
+               ("sections", J.List (List.map (fun s -> J.Str s) sections));
                ("cycles", J.Int cycles);
-               ("fabric",
-                J.Obj
-                  [ ("fetches", J.Int fetches);
-                    ("qp_queue_cycles", J.List [ J.Int 10; J.Int 20 ]) ]) ] ]) ]
+               ("fabric.fetches", J.Int fetches);
+               ("fabric.qp_queue_cycles[0]", J.Int 10);
+               ("fabric.qp_queue_cycles[1]", J.Int 20) ];
+           J.Obj
+             [ ("tag", J.Str "serve-clean-t0-kv");
+               ("sections", J.List [ J.Str "serve" ]);
+               ("cycles", J.Int 182_759);
+               ("p99_cycles", J.Int p99) ] ]) ]
+
+let contains msg sub =
+  let n = String.length msg and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+  go 0
 
 let test_regress_clean_and_perturbed () =
   let base = snapshot 1_000_000 500 in
@@ -548,45 +560,147 @@ let test_regress_clean_and_perturbed () =
   (match
      O.Regress.compare_snapshots ~tolerance:0.02 ~baseline:base ~current:worse ()
    with
-   | [ v ] ->
-     check Alcotest.string "experiment named" "pc-list-batched"
-       v.O.Regress.v_experiment;
-     check Alcotest.string "metric named" "cycles" v.O.Regress.v_metric;
-     check (Alcotest.float 1e-9) "baseline value" 1_000_000.0
-       v.O.Regress.v_baseline;
-     (match v.O.Regress.v_observed with
-      | Some obs -> check (Alcotest.float 1e-9) "observed value" 1_050_000.0 obs
-      | None -> Alcotest.fail "observed missing");
+   | [ (O.Regress.Drifted d as v) ] ->
+     check Alcotest.string "record named" "pc-list" d.record;
+     check Alcotest.string "metric named" "cycles" d.metric;
+     check (Alcotest.float 1e-9) "baseline value" 1_000_000.0 d.baseline;
+     check (Alcotest.float 1e-9) "observed value" 1_050_000.0 d.observed;
      let msg = O.Regress.format_violation v in
-     let has sub =
-       let n = String.length msg and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-       go 0
-     in
-     check Alcotest.bool "message names experiment" true (has "pc-list-batched");
-     check Alcotest.bool "message names metric" true (has "cycles");
-     check Alcotest.bool "message has baseline" true (has "1000000");
-     check Alcotest.bool "message has observed" true (has "1050000")
-   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
+     check Alcotest.bool "message names record" true (contains msg "pc-list");
+     check Alcotest.bool "message names metric" true (contains msg "cycles");
+     check Alcotest.bool "message has baseline" true (contains msg "1000000");
+     check Alcotest.bool "message has observed" true (contains msg "1050000")
+   | vs -> Alcotest.failf "expected 1 drift, got %d violations" (List.length vs));
   (* The same 5% drift passes a 10% tolerance. *)
   check Alcotest.int "loose tolerance passes" 0
     (List.length
        (O.Regress.compare_snapshots ~tolerance:0.10 ~baseline:base
           ~current:worse ()));
-  (* Fabric counters are gated too, including per-QP arrays. *)
+  (* Fabric counters are gated too. *)
   let fewer = snapshot 1_000_000 400 in
   (match
      O.Regress.compare_snapshots ~tolerance:0.02 ~baseline:base ~current:fewer ()
    with
-   | [ v ] -> check Alcotest.string "fabric metric" "fabric.fetches" v.O.Regress.v_metric
+   | [ O.Regress.Drifted d ] ->
+     check Alcotest.string "fabric metric" "fabric.fetches" d.metric
    | vs -> Alcotest.failf "expected 1 fabric violation, got %d" (List.length vs));
-  (* A vanished experiment is a violation, not a silent pass. *)
-  let empty = J.Obj [ ("experiments", J.List []) ] in
+  (* A vanished record is a violation, not a silent pass. *)
+  let empty = J.Obj [ ("records", J.List []) ] in
   (match
      O.Regress.compare_snapshots ~tolerance:0.02 ~baseline:base ~current:empty ()
    with
-   | [ v ] -> check Alcotest.bool "missing reported" true (v.O.Regress.v_observed = None)
-   | vs -> Alcotest.failf "expected 1 missing violation, got %d" (List.length vs))
+   | [ (O.Regress.Unrecorded _ as v1); (O.Regress.Unrecorded _ as v2) ] ->
+     check Alcotest.bool "missing reported" true
+       (contains (O.Regress.format_violation v1) "pc-list"
+        && contains (O.Regress.format_violation v2) "serve-clean-t0-kv")
+   | vs -> Alcotest.failf "expected 2 missing records, got %d" (List.length vs))
+
+(* Every numeric member is gated under its own name: a per-QP entry and
+   a p99 drift are reported as such, and a metric dropped from a record
+   that is still there is reported missing. *)
+let test_regress_named_metrics () =
+  let base = snapshot 1_000_000 500 in
+  check Alcotest.int "every numeric member counted" 6
+    (O.Regress.compared_metrics ~baseline:base ~current:base ());
+  (match
+     O.Regress.compare_snapshots ~tolerance:0.02 ~baseline:base
+       ~current:(snapshot ~p99:8_000 1_000_000 500) ()
+   with
+   | [ (O.Regress.Drifted d as v) ] ->
+     check Alcotest.string "p99 record" "serve-clean-t0-kv" d.record;
+     check Alcotest.string "p99 metric" "p99_cycles" d.metric;
+     check Alcotest.bool "message names p99_cycles" true
+       (contains (O.Regress.format_violation v) "p99_cycles")
+   | vs -> Alcotest.failf "expected 1 p99 drift, got %d" (List.length vs));
+  let without_qp1 =
+    match O.Regress.records_of_snapshot base with
+    | [ (_, J.Obj pc); (_, serve) ] ->
+      J.Obj
+        [ ("records",
+           J.List
+             [ J.Obj (List.filter (fun (k, _) -> k <> "fabric.qp_queue_cycles[1]") pc);
+               serve ]) ]
+    | _ -> Alcotest.fail "snapshot shape"
+  in
+  match
+    O.Regress.compare_snapshots ~tolerance:0.02 ~baseline:base
+      ~current:without_qp1 ()
+  with
+  | [ O.Regress.Missing m ] ->
+    check Alcotest.string "per-QP metric" "fabric.qp_queue_cycles[1]" m.metric
+  | vs -> Alcotest.failf "expected 1 missing metric, got %d" (List.length vs)
+
+(* A gate that compared nothing must fail: an empty baseline, and an
+   old-schema baseline whose records the gate does not read, both
+   yield a violation instead of a vacuous pass. *)
+let test_regress_refuses_empty_comparison () =
+  let current = snapshot 1_000_000 500 in
+  let old_schema =
+    J.Obj
+      [ ("experiments",
+         J.List [ J.Obj [ ("tag", J.Str "serve-clean-t0-kv-p99"); ("p99", J.Int 5) ] ]) ]
+  in
+  List.iter
+    (fun (what, baseline) ->
+      check Alcotest.int what 1
+        (List.length
+           (O.Regress.compare_snapshots ~tolerance:0.02 ~baseline ~current ())))
+    [ ("empty baseline fails", J.Obj []); ("old-schema baseline fails", old_schema) ]
+
+(* A subset run gates exactly the records its sections recorded — and
+   of a shared record only the metrics it reproduces — and reports a
+   record one of them stopped recording even when another section still
+   produces it. *)
+let test_regress_subset_run () =
+  let rec_ ~sections ?(critical_path = true) tag =
+    J.Obj
+      ([ ("tag", J.Str tag);
+         ("sections", J.List (List.map (fun s -> J.Str s) sections));
+         ("cycles", J.Int 1_000) ]
+       @ if critical_path then [ ("critical_path_cycles", J.Int 40) ] else [])
+  in
+  let doc rs = J.Obj [ ("records", J.List rs) ] in
+  let base =
+    doc
+      [ rec_ ~sections:[ "attr"; "spans" ] "pc-list";
+        rec_ ~sections:[ "serve" ] ~critical_path:false "serve-clean-total" ]
+  in
+  (* attr alone: pc-list's cycles, not the critical path spans adds. *)
+  let attr_run = doc [ rec_ ~sections:[ "attr" ] ~critical_path:false "pc-list" ] in
+  check Alcotest.int "attr compares only its metrics" 1
+    (O.Regress.compared_metrics ~sections:[ "attr" ] ~baseline:base
+       ~current:attr_run ());
+  check Alcotest.int "serve record not gated by attr" 0
+    (List.length
+       (O.Regress.compare_snapshots ~sections:[ "attr" ] ~baseline:base
+          ~current:attr_run ()));
+  (* With every recording section run, a lost metric is reported. *)
+  (match
+     O.Regress.compare_snapshots ~sections:[ "attr"; "spans" ] ~baseline:base
+       ~current:(doc [ rec_ ~sections:[ "attr"; "spans" ] ~critical_path:false "pc-list" ])
+       ()
+   with
+   | [ O.Regress.Missing m ] ->
+     check Alcotest.string "lost metric" "critical_path_cycles" m.metric
+   | vs -> Alcotest.failf "expected 1 missing metric, got %d" (List.length vs));
+  (match
+     O.Regress.compare_snapshots ~sections:[ "attr" ] ~baseline:base
+       ~current:(doc []) ()
+   with
+   | [ O.Regress.Unrecorded u ] ->
+     check Alcotest.string "vanished record" "pc-list" u.record;
+     check (Alcotest.list Alcotest.string) "by attr" [ "attr" ] u.sections
+   | vs -> Alcotest.failf "expected 1 unrecorded, got %d" (List.length vs));
+  match
+    O.Regress.compare_snapshots ~sections:[ "attr"; "spans" ] ~baseline:base
+      ~current:(doc [ rec_ ~sections:[ "spans" ] "pc-list" ]) ()
+  with
+  | [ (O.Regress.Unrecorded u as v) ] ->
+    check (Alcotest.list Alcotest.string) "attr stopped recording" [ "attr" ]
+      u.sections;
+    check Alcotest.bool "message names section" true
+      (contains (O.Regress.format_violation v) "attr")
+  | vs -> Alcotest.failf "expected 1 dropped section, got %d" (List.length vs)
 
 (* ---------- epoch metrics ---------- *)
 
@@ -1107,6 +1221,10 @@ let suite =
     Alcotest.test_case "exporters on zero-event run" `Quick
       test_exporters_on_zero_event_run;
     Alcotest.test_case "regression gate" `Quick test_regress_clean_and_perturbed;
+    Alcotest.test_case "regression gate named metrics" `Quick test_regress_named_metrics;
+    Alcotest.test_case "regression gate refuses empty comparison" `Quick
+      test_regress_refuses_empty_comparison;
+    Alcotest.test_case "regression gate subset run" `Quick test_regress_subset_run;
     Alcotest.test_case "full sink is cycle-identical" `Quick
       test_sink_off_bit_identical;
     Alcotest.test_case "ring keeps newest" `Quick test_ring_keeps_newest;

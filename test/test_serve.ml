@@ -18,8 +18,8 @@
 
    3. Load-generator determinism: the same seed reproduces the exact
       arrival sequence, and two whole serving runs of the same mix
-      agree bit for bit — the property that makes BENCH_serve.json
-      gateable at all.
+      agree bit for bit — the property that makes the serve records
+      of BENCH.json gateable at all.
 
    4. Per-tenant latency merging: the bucket-wise Stats merge the
       ALL row uses equals the histogram of the concatenated samples
