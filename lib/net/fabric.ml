@@ -326,15 +326,13 @@ let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
   emit_transfer t ~now ~count:1 ~bytes tr;
   tr
 
-let fetch_many_raw ~scale t ~now ~sizes =
-  let n = Array.length sizes in
+let fetch_many_raw ~scale t ~now ~sizes ~count:n ~completions =
   let qp = pick_qp t in
   let start = inbound_start t ~now qp in
   let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
   (* One request/response pair carries the whole batch: the protocol
      overhead is paid once, each object lands as soon as its bytes have
      streamed off the wire behind its predecessors. *)
-  let completions = Array.make n 0 in
   let cum = ref 0 in
   let total = ref 0 in
   for i = 0 to n - 1 do
@@ -350,30 +348,36 @@ let fetch_many_raw ~scale t ~now ~sizes =
   t.fetched_bytes <- t.fetched_bytes + !total;
   t.batches <- t.batches + 1;
   t.batched_objects <- t.batched_objects + n;
-  ({ t_start = start; t_queued = start - now;
-     t_complete = completions.(n - 1); t_qp = qp;
-     t_proto = proto; t_ser = !cum; t_fault = None },
-   completions)
+  { t_start = start; t_queued = start - now;
+    t_complete = completions.(n - 1); t_qp = qp;
+    t_proto = proto; t_ser = !cum; t_fault = None }
 
-let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes =
-  let count = Array.length sizes in
-  if count = 0 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
-  let bytes = Array.fold_left ( + ) 0 sizes in
+let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes ~count ~completions =
+  if count < 1 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
+  if count > Array.length sizes || count > Array.length completions then
+    invalid_arg "Fabric.fetch_many_attempt: count exceeds the arrays";
+  let bytes = ref 0 in
+  for i = 0 to count - 1 do
+    bytes := !bytes + sizes.(i)
+  done;
+  let bytes = !bytes in
   match draw_fault t with
   | Some Transient ->
     let f = transient_failure t ~scale ~now in
     emit_failure t ~now ~count ~bytes f;
     Error f
   | fault ->
-    let raw, completions = fetch_many_raw ~scale t ~now ~sizes in
+    let raw = fetch_many_raw ~scale t ~now ~sizes ~count ~completions in
     let tr = perturb t ~scale fault raw in
     (* A late response stream delays every object in the batch by the
        same congestion term. *)
     let extra = tr.t_complete - raw.t_complete in
     if extra <> 0 then
-      Array.iteri (fun i c -> completions.(i) <- c + extra) completions;
+      for i = 0 to count - 1 do
+        completions.(i) <- completions.(i) + extra
+      done;
     emit_transfer t ~now ~count ~bytes tr;
-    Ok (tr, completions)
+    Ok tr
 
 (* Writeback faults never reach the caller: posted writes are
    asynchronous, so the fabric absorbs the fault by re-posting (or

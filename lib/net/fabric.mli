@@ -171,19 +171,22 @@ val fetch_attempt :
     backwards rather than corrupting queue state. *)
 
 val fetch_many_attempt :
-  ?scale:scale -> t -> now:int -> sizes:int array ->
-  (transfer * int array, failure) result
-(** Coalesce a batch of objects into one request on the least-loaded
-    queue pair.  The protocol cost is paid once; object [i] completes
-    at [start + proto + Σ serialization sizes.(0..i)] (returned in the
-    array, index-aligned with [sizes]), and the QP stays busy for the
-    summed serialization only.  Counts one batch and [n] fetches in
-    {!stats}.
+  ?scale:scale -> t -> now:int -> sizes:int array -> count:int ->
+  completions:int array -> (transfer, failure) result
+(** Coalesce a batch of objects — the first [count] entries of [sizes]
+    — into one request on the least-loaded queue pair.  The protocol
+    cost is paid once; object [i] completes at
+    [start + proto + Σ serialization sizes.(0..i)], written to
+    [completions.(i)] on [Ok], and the QP stays busy for the summed
+    serialization only.  Counts one batch and [count] fetches in
+    {!stats}.  The caller owns both arrays, so a batch allocates no
+    per-object storage.
 
     One fault decision covers the whole request (it is one request on
     the wire).  A transient fault NACKs the entire batch; a late fault
     delays every completion in it by the same congestion term.
-    @raise Invalid_argument on an empty batch or a backwards [now]. *)
+    @raise Invalid_argument on an empty batch, a [count] beyond either
+    array, or a backwards [now]. *)
 
 val fetch_reliable : ?scale:scale -> t -> now:int -> bytes:int -> transfer
 (** The escalation path for a fetch whose retries are exhausted: a

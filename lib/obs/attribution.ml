@@ -64,27 +64,42 @@ type cell = {
 
 type t = {
   cells : (int * site, cell) Hashtbl.t;
-  (* One-entry memo: consecutive charges overwhelmingly come from the
-     same (ds, site) — a guard looping over one access site — so the
-     hot path is three int compares and a pointer compare, not a
-     hashtable probe. *)
-  mutable last : cell option;
+  (* Direct-mapped memo in front of [cells]: a run's charges come from
+     a handful of (ds, site) keys, but consecutive ones alternate
+     between them (a loop's guards at two or three sites), so one
+     remembered cell would keep missing.  A hit costs a slot index,
+     three int compares and a pointer compare, and allocates nothing;
+     a miss (a new key, a slot collision, or a name that is equal but
+     not the same string) goes to the table and takes the slot over. *)
+  memo : cell array;
   mutable qp_max : int; (* highest QP index ever charged, -1 if none *)
 }
 
-let create () = { cells = Hashtbl.create 64; last = None; qp_max = -1 }
+let memo_slots = 256 (* a power of two *)
 
 let make_cell ds site =
   { cl_ds = ds; cl_site = site; cl_proto = 0; cl_wire = 0;
     cl_queue = [||]; cl_pf_wait = 0; cl_retry = 0; cl_guard = 0;
     cl_trap = 0; cl_book = 0 }
 
+(* Fills empty memo slots; its freshly allocated name is physically
+   equal to no caller's, so it never matches. *)
+let vacant = make_cell (-1) { unknown_site with s_fn = String.make 1 '-' }
+
+let create () =
+  { cells = Hashtbl.create 64; memo = Array.make memo_slots vacant; qp_max = -1 }
+
+let memo_slot ~ds ~fn ~block ~instr =
+  (((((block * 31) + instr) * 31) + ds) * 31 + String.length fn)
+  land (memo_slots - 1)
+
 let cell t ~ds ~fn ~block ~instr =
-  match t.last with
-  | Some c
-    when c.cl_ds = ds && c.cl_site.s_block = block
-         && c.cl_site.s_instr = instr && c.cl_site.s_fn == fn -> c
-  | _ ->
+  let slot = memo_slot ~ds ~fn ~block ~instr in
+  let c = t.memo.(slot) in
+  if c.cl_ds = ds && c.cl_site.s_block = block && c.cl_site.s_instr = instr
+     && c.cl_site.s_fn == fn
+  then c
+  else begin
     let site = { s_fn = fn; s_block = block; s_instr = instr } in
     let key = (ds, site) in
     let c =
@@ -95,8 +110,9 @@ let cell t ~ds ~fn ~block ~instr =
         Hashtbl.replace t.cells key c;
         c
     in
-    t.last <- Some c;
+    t.memo.(slot) <- c;
     c
+  end
 
 let grow_queue c qp =
   let n = Array.length c.cl_queue in

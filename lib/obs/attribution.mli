@@ -65,8 +65,12 @@ val create : unit -> t
 val charge :
   t -> ds:int -> fn:string -> block:int -> instr:int -> cause -> int -> unit
 (** Charge [cycles] to one cause at one (structure, site) key.  The
-    site is passed as components so the hot path does not allocate; a
-    one-entry memo makes consecutive same-site charges O(1). *)
+    site is passed as components so the hot path does not allocate: a
+    direct-mapped memo of recently charged keys answers a repeat
+    charge without touching the table, provided [fn] is the very
+    string passed before (the interpreter passes each function's
+    name string, so it is).  Equal but distinct strings still land in
+    the same cell, through the table. *)
 
 val total : t -> int
 (** Σ over every key and cause — must equal

@@ -1,4 +1,77 @@
-type target = { t_ds : int; t_obj : int; t_len : int }
+(* The candidate buffer: one (handle, object) pair per object, in two
+   parallel arrays so filling, filtering and sorting it allocate only
+   when it outgrows its largest call so far. *)
+module Targets = struct
+  type t = { mutable ds : int array; mutable obj : int array; mutable len : int }
+
+  let create () = { ds = Array.make 64 0; obj = Array.make 64 0; len = 0 }
+
+  let clear b = b.len <- 0
+  let length b = b.len
+
+  let check b i =
+    if i < 0 || i >= b.len then
+      invalid_arg (Printf.sprintf "Targets: index %d out of range (len %d)" i b.len)
+
+  let ds b i = check b i; b.ds.(i)
+  let obj b i = check b i; b.obj.(i)
+
+  let set b i ~ds ~obj =
+    check b i;
+    b.ds.(i) <- ds;
+    b.obj.(i) <- obj
+
+  let push b ~ds ~obj =
+    let cap = Array.length b.ds in
+    if b.len = cap then begin
+      let nd = Array.make (2 * cap) 0 and no = Array.make (2 * cap) 0 in
+      Array.blit b.ds 0 nd 0 cap;
+      Array.blit b.obj 0 no 0 cap;
+      b.ds <- nd;
+      b.obj <- no
+    end;
+    b.ds.(b.len) <- ds;
+    b.obj.(b.len) <- obj;
+    b.len <- b.len + 1
+
+  let truncate b n = if n < b.len then b.len <- max 0 n
+
+  (* Insertion sort by (handle, object), dropping repeats as they meet
+     their equal: the set and order [List.sort_uniq compare] gives.
+     Candidate lists are short and mostly ascending already (stride
+     runs), so this is close to one pass. *)
+  let sort_uniq b =
+    let n = b.len in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let d = b.ds.(i) and o = b.obj.(i) in
+      let j = ref (!k - 1) in
+      while !j >= 0 && (b.ds.(!j) > d || (b.ds.(!j) = d && b.obj.(!j) > o)) do
+        decr j
+      done;
+      if not (!j >= 0 && b.ds.(!j) = d && b.obj.(!j) = o) then begin
+        let at = !j + 1 in
+        Array.blit b.ds at b.ds (at + 1) (!k - at);
+        Array.blit b.obj at b.obj (at + 1) (!k - at);
+        b.ds.(at) <- d;
+        b.obj.(at) <- o;
+        incr k
+      end
+    done;
+    b.len <- !k
+
+  let rev b =
+    let i = ref 0 and j = ref (b.len - 1) in
+    while !i < !j do
+      let d = b.ds.(!i) and o = b.obj.(!i) in
+      b.ds.(!i) <- b.ds.(!j);
+      b.obj.(!i) <- b.obj.(!j);
+      b.ds.(!j) <- d;
+      b.obj.(!j) <- o;
+      incr i;
+      decr j
+    done
+end
 
 type stride_state = {
   s_depth : int;
@@ -15,7 +88,10 @@ type stride_state = {
 type jump_state = {
   j_jump : int;
   j_depth : int;
-  table : (int, int) Hashtbl.t;   (* obj -> obj seen [jump] steps later *)
+  mutable table : int array;      (* obj -> obj seen [jump] steps later;
+                                     -1 = no entry.  Object indices are
+                                     dense and non-negative, so the map
+                                     is an array grown on demand. *)
   ring : int array;               (* last [jump] objects *)
   mutable ring_n : int;
   mutable ring_pos : int;
@@ -50,7 +126,7 @@ let greedy ~fanout = wrap (Greedy fanout)
 let jump ~jump ~depth =
   wrap
     (Jump
-       { j_jump = jump; j_depth = depth; table = Hashtbl.create 256;
+       { j_jump = jump; j_depth = depth; table = Array.make 256 (-1);
          ring = Array.make jump 0; ring_n = 0; ring_pos = 0;
          since_chase = 0 })
 
@@ -86,106 +162,100 @@ let majority_delta st =
     if 2 * !best_count > n && !best <> 0 then !best else 0
   end
 
-let on_access_kind t ~obj ~missed ~scan =
+let jump_find st o = if o < Array.length st.table then st.table.(o) else -1
+
+let jump_record st o next =
+  let cap = Array.length st.table in
+  if o >= cap then begin
+    let nt = Array.make (max (o + 1) (2 * cap)) (-1) in
+    Array.blit st.table 0 nt 0 cap;
+    st.table <- nt
+  end;
+  st.table.(o) <- next
+
+let on_access_kind t buf ~obj ~missed ~scan =
   match t with
   | Stride st ->
-    let out =
-      if st.have_last then begin
-        let d = obj - st.last in
-        if d <> 0 then begin
-          st.deltas.(st.next_slot) <- d;
-          st.next_slot <- (st.next_slot + 1) mod Array.length st.deltas;
-          if st.n_deltas < Array.length st.deltas then
-            st.n_deltas <- st.n_deltas + 1;
-          let was = st.locked in
-          st.locked <- majority_delta st;
-          if st.locked <> was then st.frontier <- 0
-        end;
-        if st.locked = 1 then begin
-          (* Unit stride: emit the window as contiguous runs with
-             hysteresis.  Topping the window up only when the issued
-             frontier falls within [depth] of the access point means
-             each top-up covers ~[depth] fresh objects — one wire
-             request per window chunk instead of one per object. *)
-          (* A seek backwards (typically a new pass over the same
-             array) strands the frontier beyond anything we would emit
-             again; snap it back so the re-traversal prefetches like
-             the first pass did. *)
-          if st.frontier > obj + (2 * st.s_depth) + 1 then
-            st.frontier <- obj + 1;
-          if st.frontier - obj <= st.s_depth then begin
-            let lo = max st.frontier (obj + 1) in
-            let hi = obj + (2 * st.s_depth) in
-            st.frontier <- hi + 1;
-            if hi >= lo then [ { t_ds = 0; t_obj = lo; t_len = hi - lo + 1 } ]
-            else []
-          end
-          else []
+    if st.have_last then begin
+      let d = obj - st.last in
+      if d <> 0 then begin
+        st.deltas.(st.next_slot) <- d;
+        st.next_slot <- (st.next_slot + 1) mod Array.length st.deltas;
+        if st.n_deltas < Array.length st.deltas then
+          st.n_deltas <- st.n_deltas + 1;
+        let was = st.locked in
+        st.locked <- majority_delta st;
+        if st.locked <> was then st.frontier <- 0
+      end;
+      if st.locked = 1 then begin
+        (* Unit stride: emit the window as contiguous runs with
+           hysteresis.  Topping the window up only when the issued
+           frontier falls within [depth] of the access point means
+           each top-up covers ~[depth] fresh objects — one wire
+           request per window chunk instead of one per object. *)
+        (* A seek backwards (typically a new pass over the same
+           array) strands the frontier beyond anything we would emit
+           again; snap it back so the re-traversal prefetches like
+           the first pass did. *)
+        if st.frontier > obj + (2 * st.s_depth) + 1 then
+          st.frontier <- obj + 1;
+        if st.frontier - obj <= st.s_depth then begin
+          let lo = max st.frontier (obj + 1) in
+          let hi = obj + (2 * st.s_depth) in
+          st.frontier <- hi + 1;
+          for o = lo to hi do
+            Targets.push buf ~ds:0 ~obj:o
+          done
         end
-        else if st.locked <> 0 then
-          List.init st.s_depth (fun i ->
-              { t_ds = 0; t_obj = obj + (st.locked * (i + 1)); t_len = 1 })
-          |> List.filter (fun tg -> tg.t_obj >= 0)
-        else []
       end
-      else []
-    in
+      else if st.locked <> 0 then
+        for i = 1 to st.s_depth do
+          let o = obj + (st.locked * i) in
+          if o >= 0 then Targets.push buf ~ds:0 ~obj:o
+        done
+    end;
     st.last <- obj;
-    st.have_last <- true;
-    out
+    st.have_last <- true
   | Greedy fanout ->
     if missed then begin
-      let ptrs = scan () in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      take fanout ptrs
+      scan obj buf;
+      Targets.truncate buf fanout
     end
-    else []
   | Jump st ->
+    if obj < 0 then invalid_arg "Prefetcher.on_access: negative object index";
     (* Record: the object seen [jump] accesses ago now maps to us. *)
-    let out =
-      if st.ring_n >= st.j_jump then begin
-        let victim = st.ring.(st.ring_pos) in
-        Hashtbl.replace st.table victim obj;
-        (* Chase on a cadence, not every access: re-chasing from every
-           position re-emits yesterday's window and nets one fresh
-           object per call — a stream of single-object requests each
-           paying the full protocol cost.  Chasing every [jump]
-           accesses (immediately on a miss, when the window collapsed)
-           advances the frontier by ~[jump] objects at a time, which a
-           batching fabric carries as one request. *)
-        st.since_chase <- st.since_chase + 1;
-        if missed || st.since_chase >= st.j_jump then begin
-          st.since_chase <- 0;
-          (* Fetch ahead through the jump table. *)
-          let rec chase from depth acc =
-            if depth = 0 then acc
-            else
-              match Hashtbl.find_opt st.table from with
-              | Some next ->
-                chase next (depth - 1)
-                  ({ t_ds = 0; t_obj = next; t_len = 1 } :: acc)
-              | None -> acc
-          in
-          chase obj st.j_depth []
-        end
-        else []
+    if st.ring_n >= st.j_jump then begin
+      jump_record st st.ring.(st.ring_pos) obj;
+      (* Chase on a cadence, not every access: re-chasing from every
+         position re-emits yesterday's window and nets one fresh
+         object per call — a stream of single-object requests each
+         paying the full protocol cost.  Chasing every [jump]
+         accesses (immediately on a miss, when the window collapsed)
+         advances the frontier by ~[jump] objects at a time, which a
+         batching fabric carries as one request. *)
+      st.since_chase <- st.since_chase + 1;
+      if missed || st.since_chase >= st.j_jump then begin
+        st.since_chase <- 0;
+        (* Fetch ahead through the jump table; emitted farthest hop
+           first. *)
+        let next = ref (jump_find st obj) and depth = ref st.j_depth in
+        while !depth > 0 && !next >= 0 do
+          Targets.push buf ~ds:0 ~obj:!next;
+          next := jump_find st !next;
+          decr depth
+        done;
+        Targets.rev buf
       end
-      else []
-    in
+    end;
     st.ring.(st.ring_pos) <- obj;
     st.ring_pos <- (st.ring_pos + 1) mod st.j_jump;
-    if st.ring_n < st.j_jump then st.ring_n <- st.ring_n + 1;
-    out
+    if st.ring_n < st.j_jump then st.ring_n <- st.ring_n + 1
 
-let on_access t ~obj ~missed ~scan =
+let on_access t buf ~obj ~missed ~scan =
   t.calls <- t.calls + 1;
-  let out = on_access_kind t.k ~obj ~missed ~scan in
-  t.emitted <- t.emitted + List.fold_left (fun acc tg -> acc + tg.t_len) 0 out;
-  out
+  Targets.clear buf;
+  on_access_kind t.k buf ~obj ~missed ~scan;
+  t.emitted <- t.emitted + Targets.length buf
 
 let kind_name t =
   match t.k with

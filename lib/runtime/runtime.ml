@@ -1,5 +1,7 @@
 module Fabric = Cards_net.Fabric
 module Vec = Cards_util.Vec
+module Ring = Cards_util.Ring
+module Targets = Prefetcher.Targets
 module Sink = Cards_obs.Sink
 module Event = Cards_obs.Event
 module Profile = Cards_obs.Profile
@@ -133,6 +135,15 @@ type ds = {
   mutable objs : int array;       (* state flags per object *)
   mutable arrivals : int array;   (* completion time while in flight *)
   mutable pf : Prefetcher.t option;
+  scan : int -> Targets.t -> unit;
+      (* the greedy prefetcher's pointer scan over this structure's
+         objects, built once so a miss does not allocate a closure *)
+  window_fits : bool;
+      (* Throttle: can the remotable cache hold this structure's
+         prefetch window twice over?  Prefetching into a cache that
+         cannot hold the window alongside the working objects only
+         evicts what the demand stream is about to use.  Depends on
+         the config and the static object size only. *)
   (* Adaptive prefetch selection (§4.2: "standard prefetching metrics,
      such as accuracy and coverage, are used to evaluate the
      effectiveness of each prefetching policy"): per-epoch counters and
@@ -182,7 +193,17 @@ type t = {
   mutable unmanaged_used : int;
   mutable pinned_used : int;
   mutable remotable_used : int;
-  clockq : (int * int) Queue.t;   (* CLOCK over remotable residents *)
+  clockq : Ring.t;                (* CLOCK over remotable residents:
+                                     (handle, object) pairs *)
+  (* Prefetch scratch, reused by every access: the prefetcher's
+     candidates (filtered and ordered in place), and the size and
+     completion arrays a batched request reads and fills. *)
+  pf_buf : Targets.t;
+  mutable batch_sizes : int array;
+  mutable batch_completions : int array;
+  (* The backing bytes of the access [resolve] / [resolve_fast] just
+     answered; they return the offset into it. *)
+  mutable acc_data : Bytes.t;
   (* Graceful degradation: a sliding window of recent transfer
      outcomes (1 byte each: did the attempt fault?).  When the
      observed fault rate over the window crosses the degrade
@@ -271,7 +292,11 @@ let create ?(obs = Sink.null) cfg infos =
     unmanaged_used = 0;
     pinned_used = 0;
     remotable_used = 0;
-    clockq = Queue.create ();
+    clockq = Ring.create ();
+    pf_buf = Targets.create ();
+    batch_sizes = Array.make 64 0;
+    batch_completions = Array.make 64 0;
+    acc_data = Bytes.empty;
     fault_accounting = Fabric.faults_configured fabric;
     fw = Bytes.make fault_window '\000';
     fw_len = 0;
@@ -406,15 +431,16 @@ let obj_size (d : ds) = 1 lsl d.obj_shift
 
 let evict_until_fits t =
   let budget = t.cfg.remotable_bytes in
-  let spins = ref (2 * Queue.length t.clockq + 2) in
+  let spins = ref (2 * Ring.length t.clockq + 2) in
   (* Eviction bursts coalesce their dirty writebacks into one posted
      request when batching is on; the per-object count/bytes accumulate
      here and hit the fabric once after the scan. *)
   let wb_count = ref 0 in
   let wb_bytes = ref 0 in
-  while t.remotable_used > budget && !spins > 0 && not (Queue.is_empty t.clockq) do
+  while t.remotable_used > budget && !spins > 0 && not (Ring.is_empty t.clockq) do
     decr spins;
-    let h, o = Queue.pop t.clockq in
+    let h = Ring.head_fst t.clockq and o = Ring.head_snd t.clockq in
+    Ring.drop t.clockq;
     let d = get_ds t h in
     let st = if o < Array.length d.objs then d.objs.(o) else 0 in
     let st =
@@ -431,10 +457,10 @@ let evict_until_fits t =
       () (* stale entry *)
     else if st land b_inflight <> 0 then
       (* never evict data still on the wire; give it a second chance *)
-      Queue.push (h, o) t.clockq
+      Ring.push t.clockq h o
     else if st land b_ref <> 0 then begin
       d.objs.(o) <- st land lnot b_ref;
-      Queue.push (h, o) t.clockq
+      Ring.push t.clockq h o
     end
     else begin
       (* evict *)
@@ -472,7 +498,7 @@ let clock_insert t (d : ds) o =
     (* New arrivals enter referenced, or the eviction scan triggered by
        their own insertion would reclaim them before first use. *)
     d.objs.(o) <- d.objs.(o) lor b_inclock lor b_ref;
-    Queue.push (d.handle, o) t.clockq;
+    Ring.push t.clockq d.handle o;
     t.remotable_used <- t.remotable_used + obj_size d;
     d.resident_bytes <- d.resident_bytes + obj_size d;
     evict_until_fits t
@@ -520,14 +546,35 @@ let info_prefetch_depth t (info : Static_info.t) =
   | None -> t.cfg.prefetch_depth
   | Some budget -> max 1 (min 64 (budget / info.Static_info.obj_size))
 
+(* The greedy prefetcher's scan: every tagged pointer in object [o]'s
+   slots that lands inside a live pool, in slot order. *)
+let scan_object_pointers t (d : ds) o buf =
+  let osz = obj_size d in
+  let base = o lsl d.obj_shift in
+  let stop = min (base + osz) d.pool_used in
+  let w = ref base in
+  while !w + 8 <= stop do
+    let v = Int64.to_int (Bytes.get_int64_le d.data !w) in
+    if v > 0 && Addr.is_managed v then begin
+      let h = Addr.ds_of v in
+      if h >= 1 && h <= Vec.length t.dss then begin
+        let td = Vec.get t.dss (h - 1) in
+        let off = Addr.offset_of v in
+        if off < td.pool_used then
+          Targets.push buf ~ds:h ~obj:(off lsr td.obj_shift)
+      end
+    end;
+    w := !w + 8
+  done
+
 let ds_init t ~sid =
   if sid < 0 || sid >= Array.length t.infos then fail "ds_init: bad sid %d" sid;
   let info = t.infos.(sid) in
   let handle = Vec.length t.dss + 1 in
   if handle > Addr.max_handle then fail "too many data structures";
   stall t ~ds:handle Attribution.Bookkeeping t.cfg.cost.ds_init;
+  let depth = info_prefetch_depth t info in
   let pf, candidates =
-    let depth = info_prefetch_depth t info in
     match t.cfg.prefetch_mode with
     | Pf_none -> (None, [])
     | Pf_stride_only -> (Some (Prefetcher.stride ~depth), [])
@@ -564,11 +611,16 @@ let ds_init t ~sid =
     end
     | _ -> []
   in
-  let d =
-    { handle; info; obj_shift = log2_exact info.obj_size;
+  let obj_shift = log2_exact info.obj_size in
+  let st = Rt_stats.ds_stats t.stats handle in
+  let prof = Profile.register t.prof handle in
+  let rec d =
+    { handle; info; obj_shift;
       pinned = t.pref.(sid); pinned_bytes = 0; resident_bytes = 0;
       data = Bytes.create 0; pool_used = 0; objs = [||]; arrivals = [||];
-      pf; pf_candidates = candidates; pf_order = order_of_candidates;
+      pf; scan = (fun o buf -> scan_object_pointers t d o buf);
+      window_fits = t.cfg.remotable_bytes / (1 lsl obj_shift) >= 2 * (depth + 1);
+      pf_candidates = candidates; pf_order = order_of_candidates;
       pf_cooldown = 0;
       epoch_accesses = 0; epoch_issued = 0; epoch_used = 0; epoch_faults = 0;
       pf_switches = 0;
@@ -576,8 +628,7 @@ let ds_init t ~sid =
         (match List.assoc_opt info.name t.cfg.ds_cost_scales with
          | Some s -> s
          | None -> t.cfg.cost_scale);
-      st = Rt_stats.ds_stats t.stats handle;
-      prof = Profile.register t.prof handle }
+      st; prof }
   in
   ignore (Vec.push t.dss d);
   handle
@@ -638,61 +689,18 @@ let free t addr = ignore t; ignore addr (* pool-based lifetime *)
 
 (* ---------- prefetch issue ---------- *)
 
-let scan_object_pointers t (d : ds) o =
-  let osz = obj_size d in
-  let base = o lsl d.obj_shift in
-  let stop = min (base + osz) d.pool_used in
-  let acc = ref [] in
-  let w = ref base in
-  while !w + 8 <= stop do
-    let v = Int64.to_int (Bytes.get_int64_le d.data !w) in
-    if v > 0 && Addr.is_managed v then begin
-      let h = Addr.ds_of v in
-      if h >= 1 && h <= Vec.length t.dss then begin
-        let td = Vec.get t.dss (h - 1) in
-        let off = Addr.offset_of v in
-        if off < td.pool_used then
-          acc :=
-            { Prefetcher.t_ds = h; t_obj = off lsr td.obj_shift; t_len = 1 }
-            :: !acc
-      end
-    end;
-    w := !w + 8
-  done;
-  List.rev !acc
+(* The structure a candidate names: handle 0 is the accessed one. *)
+let target_ds t (d : ds) h = if h = 0 then d else get_ds t h
 
-(* Runs are a prefetcher-side compression; the runtime filters and
-   marks per object, so expand them before viability checks. *)
-let expand_targets targets =
-  List.concat_map
-    (fun (tg : Prefetcher.target) ->
-      if tg.Prefetcher.t_len <= 1 then [ tg ]
-      else
-        List.init tg.Prefetcher.t_len (fun i ->
-            { tg with Prefetcher.t_obj = tg.Prefetcher.t_obj + i; t_len = 1 }))
-    targets
-
-(* Would this target actually go on the wire?  Returns its structure
-   and object when yes.  The flag array is grown *before* it is read:
-   jump/greedy prefetchers can emit indices beyond the grown portion of
-   a target structure's arrays. *)
-let prefetch_viable t (tg : Prefetcher.target) (d : ds) =
-  let td = if tg.Prefetcher.t_ds = 0 then d else get_ds t tg.Prefetcher.t_ds in
-  let o = tg.Prefetcher.t_obj in
-  (* Throttle: prefetching into a cache that cannot hold the prefetch
-     window alongside the working objects only evicts what the demand
-     stream is about to use. *)
-  let window_fits =
-    t.cfg.remotable_bytes / obj_size td
-    >= 2 * (info_prefetch_depth t td.info + 1)
-  in
-  if window_fits && (not td.pinned) && o >= 0 && o lsl td.obj_shift < td.pool_used
-  then begin
+(* Would object [o] of [td] actually go on the wire?  The flag array
+   is grown *before* it is read: jump/greedy prefetchers can emit
+   indices beyond the grown portion of a target structure's arrays. *)
+let prefetch_viable (td : ds) o =
+  td.window_fits && (not td.pinned) && o >= 0 && o lsl td.obj_shift < td.pool_used
+  && begin
     grow_objs td (o + 1);
-    if td.objs.(o) land (b_resident lor b_inflight) = 0 then Some (td, o)
-    else None
+    td.objs.(o) land (b_resident lor b_inflight) = 0
   end
-  else None
 
 (* [span] is the in-flight object's prefetch span (-1 when the issue
    occasion was unsampled): the eventual settle or timely hit will
@@ -930,68 +938,82 @@ let prefetch_one t (d : ds) ~origin_obj (td : ds) o =
     mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
       ~span
 
-let issue_prefetch t (d : ds) ~origin_obj (tg : Prefetcher.target) =
-  Option.iter
-    (fun (td, o) -> prefetch_one t d ~origin_obj td o)
-    (prefetch_viable t tg d)
+(* Unbatched issue: each candidate is judged just before it goes out,
+   so an earlier issue (or the eviction it triggered) is seen by the
+   next. *)
+let issue_prefetches t (d : ds) ~origin_obj =
+  let buf = t.pf_buf in
+  for i = 0 to Targets.length buf - 1 do
+    let td = target_ds t d (Targets.ds buf i) and o = Targets.obj buf i in
+    if prefetch_viable td o then prefetch_one t d ~origin_obj td o
+  done
 
-(* Batched issue: everything one prefetcher call produced — expanded
-   runs and cross-structure fanout alike — goes to the fabric as a
-   single request.  Targets are sorted by (structure, object) so
-   adjacent objects serialize back to back, and deduplicated so a
-   prefetcher repeating itself cannot double-mark.  A batch of one
-   takes the plain fetch path and stays bit-identical to unbatched
-   mode. *)
-let issue_prefetch_batch t (d : ds) ~origin_obj targets =
-  let viable = List.filter_map (fun tg -> prefetch_viable t tg d) targets in
-  let viable =
-    List.sort_uniq
-      (fun ((a : ds), ao) ((b : ds), bo) ->
-        let c = compare a.handle b.handle in
-        if c <> 0 then c else compare ao bo)
-      viable
-  in
-  match viable with
-  | [] -> ()
-  | [ (td, o) ] -> prefetch_one t d ~origin_obj td o
-  | items -> (
-    let sizes = Array.of_list (List.map (fun (td, _) -> obj_size td) items) in
-    match Fabric.fetch_many_attempt t.fabric ~scale:d.scale ~now:t.clock ~sizes with
+(* Batched issue: everything one prefetcher call produced — windows
+   and cross-structure fanout alike — goes to the fabric as a single
+   request.  The viable candidates are kept in place under their real
+   handles, then sorted by (structure, object) so adjacent objects
+   serialize back to back, and deduplicated so a prefetcher repeating
+   itself cannot double-mark.  A batch of one takes the plain fetch
+   path and stays bit-identical to unbatched mode. *)
+let issue_prefetch_batch t (d : ds) ~origin_obj =
+  let buf = t.pf_buf in
+  let n = ref 0 in
+  for i = 0 to Targets.length buf - 1 do
+    let td = target_ds t d (Targets.ds buf i) and o = Targets.obj buf i in
+    if prefetch_viable td o then begin
+      Targets.set buf !n ~ds:td.handle ~obj:o;
+      incr n
+    end
+  done;
+  Targets.truncate buf !n;
+  Targets.sort_uniq buf;
+  let count = Targets.length buf in
+  if count = 1 then
+    prefetch_one t d ~origin_obj (get_ds t (Targets.ds buf 0)) (Targets.obj buf 0)
+  else if count > 1 then begin
+    if Array.length t.batch_sizes < count then begin
+      t.batch_sizes <- Array.make (2 * count) 0;
+      t.batch_completions <- Array.make (2 * count) 0
+    end;
+    let sizes = t.batch_sizes and completions = t.batch_completions in
+    let bytes = ref 0 in
+    for i = 0 to count - 1 do
+      sizes.(i) <- obj_size (get_ds t (Targets.ds buf i));
+      bytes := !bytes + sizes.(i)
+    done;
+    match
+      Fabric.fetch_many_attempt t.fabric ~scale:d.scale ~now:t.clock ~sizes
+        ~count ~completions
+    with
     | Error _ ->
       (* The whole coalesced request was NACKed: every target dropped. *)
       Rt_stats.note_pf_failed t.stats;
       note_transfer t ~ds:d.handle ~obj:origin_obj (Some Fabric.Transient)
-    | Ok (tr, completions) ->
-      List.iter
-        (fun ((td : ds), _) ->
-          td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td)
-        items;
+    | Ok tr ->
       note_transfer t ~ds:d.handle ~obj:origin_obj tr.Fabric.t_fault;
       emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
       if Sink.tracing t.obs then
         Sink.emit t.obs
           (Event.make ~cycle:t.clock ~ds:d.handle ~obj:origin_obj
-             (Event.Batch_fetch
-                { count = Array.length sizes;
-                  bytes = Array.fold_left ( + ) 0 sizes }));
+             (Event.Batch_fetch { count; bytes = !bytes }));
       (* One batch span, then one member span per object (members
          exist for the causal chain and per-object completion times).
          Batch id precedes member ids, preserving parent < child. *)
       let batch_sp =
-        transfer_span t Span.Batch ~ds:d.handle ~obj:origin_obj
-          ~bytes:(Array.fold_left ( + ) 0 sizes) tr
+        transfer_span t Span.Batch ~ds:d.handle ~obj:origin_obj ~bytes:!bytes tr
       in
-      List.iteri
-        (fun i ((td : ds), o) ->
-          let span =
-            if batch_sp < 0 then -1
-            else
-              transfer_span t Span.Prefetch ~ds:td.handle ~obj:o
-                ~bytes:(obj_size td) ~member:(batch_sp, completions.(i)) tr
-          in
-          mark_prefetched t d ~origin_obj td o ~completion:completions.(i)
-            ~span)
-        items)
+      for i = 0 to count - 1 do
+        let td = get_ds t (Targets.ds buf i) and o = Targets.obj buf i in
+        let span =
+          if batch_sp < 0 then -1
+          else
+            transfer_span t Span.Prefetch ~ds:td.handle ~obj:o
+              ~bytes:sizes.(i) ~member:(batch_sp, completions.(i)) tr
+        in
+        td.st.fetched_bytes <- td.st.fetched_bytes + sizes.(i);
+        mark_prefetched t d ~origin_obj td o ~completion:completions.(i) ~span
+      done
+  end
 
 let epoch_len = 1024
 let epoch_min_issued = 64
@@ -1078,40 +1100,36 @@ let run_prefetcher t (d : ds) ~obj ~missed =
   (match d.pf with
    | None -> ()
    | Some pf ->
-     let targets =
-       Prefetcher.on_access pf ~obj ~missed ~scan:(fun () ->
-           scan_object_pointers t d obj)
-     in
-     let targets = expand_targets targets in
+     Prefetcher.on_access pf t.pf_buf ~obj ~missed ~scan:d.scan;
      (* Graceful degradation: under a faulty fabric each degradation
         step halves the prefetch fan-out per access, down to
         demand-only at the floor — fewer speculative transfers on a
         link that is failing them.  Recovery re-widens the window. *)
-     let targets =
-       if t.fault_accounting && t.degrade > 0 then begin
-         let limit = effective_prefetch_limit t d in
-         let n = List.length targets in
-         if n > limit then begin
-           Rt_stats.note_pf_suppressed t.stats (n - limit);
-           List.filteri (fun i _ -> i < limit) targets
-         end
-         else targets
+     if t.fault_accounting && t.degrade > 0 then begin
+       let limit = effective_prefetch_limit t d in
+       let n = Targets.length t.pf_buf in
+       if n > limit then begin
+         Rt_stats.note_pf_suppressed t.stats (n - limit);
+         Targets.truncate t.pf_buf limit
        end
-       else targets
-     in
-     if t.cfg.batching then issue_prefetch_batch t d ~origin_obj:obj targets
-     else List.iter (issue_prefetch t d ~origin_obj:obj) targets);
+     end;
+     if t.cfg.batching then issue_prefetch_batch t d ~origin_obj:obj
+     else issue_prefetches t d ~origin_obj:obj);
   if t.cfg.prefetch_mode = Pf_adaptive then adapt_prefetcher t d
 
 (* ---------- the guard (cards_deref) ---------- *)
 
+(* The structure behind a managed address; the object is
+   [obj_of d addr]. *)
 let locate t addr =
   let h = Addr.ds_of addr in
   let d = get_ds t h in
   let off = Addr.offset_of addr in
   if off >= d.pool_used then
     fail "wild pointer: ds %d offset %d beyond pool (%d bytes)" h off d.pool_used;
-  (d, off lsr d.obj_shift)
+  d
+
+let obj_of (d : ds) addr = Addr.offset_of addr lsr d.obj_shift
 
 (* Wait for an in-flight object to land; returns true when the data
    was already there (the prefetch was timely). *)
@@ -1267,7 +1285,8 @@ let guard t ~write addr =
         || Addr.offset_of addr >= (Vec.get t.dss (h - 1)).pool_used)
   then stall t ~ds:0 Attribution.Guard_exec t.cfg.cost.guard_unmanaged
   else begin
-    let d, o = locate t addr in
+    let d = locate t addr in
+    let o = obj_of d addr in
     d.st.guards <- d.st.guards + 1;
     (* Each access starts a fresh causal context: [cur_span] is set by
        the demand/settle/hit span this access produces (if any) and
@@ -1344,9 +1363,16 @@ let clean_fault t (d : ds) o ~write =
       (Event.make ~cycle:start ~ds:d.handle ~obj:o
          (Event.Clean_fault { stall = t.clock - start }))
 
+(* Point [acc_data] at an access's backing bytes.  Skipping the store
+   when it already points there keeps the write barrier off the common
+   repeated-structure case. *)
+let set_acc_data t data = if t.acc_data != data then t.acc_data <- data
+
+(* Canonical access path: returns the offset into [t.acc_data]. *)
 let resolve t addr ~write =
   if Addr.is_managed addr then begin
-    let d, o = locate t addr in
+    let d = locate t addr in
+    let o = obj_of d addr in
     d.st.plain_accesses <- d.st.plain_accesses + 1;
     let st = d.objs.(o) in
     if st land b_resident = 0 then clean_fault t d o ~write
@@ -1358,7 +1384,8 @@ let resolve t addr ~write =
     let bits = if write then b_ref lor b_dirty else b_ref in
     d.objs.(o) <- d.objs.(o) lor bits;
     maybe_sample t;
-    (d.data, Addr.offset_of addr)
+    set_acc_data t d.data;
+    Addr.offset_of addr
   end
   else begin
     let off = Addr.offset_of addr in
@@ -1370,24 +1397,25 @@ let resolve t addr ~write =
       u.plain_accesses <- u.plain_accesses + 1);
     charge t t.cfg.cost.mem_access;
     maybe_sample t;
-    (t.unmanaged_data, off)
+    set_acc_data t t.unmanaged_data;
+    off
   end
 
 let read_i64 t addr =
-  let data, off = resolve t addr ~write:false in
-  Int64.to_int (Bytes.get_int64_le data off)
+  let off = resolve t addr ~write:false in
+  Int64.to_int (Bytes.get_int64_le t.acc_data off)
 
 let write_i64 t addr v =
-  let data, off = resolve t addr ~write:true in
-  Bytes.set_int64_le data off (Int64.of_int v)
+  let off = resolve t addr ~write:true in
+  Bytes.set_int64_le t.acc_data off (Int64.of_int v)
 
 let read_f64 t addr =
-  let data, off = resolve t addr ~write:false in
-  Int64.float_of_bits (Bytes.get_int64_le data off)
+  let off = resolve t addr ~write:false in
+  Int64.float_of_bits (Bytes.get_int64_le t.acc_data off)
 
 let write_f64 t addr v =
-  let data, off = resolve t addr ~write:true in
-  Bytes.set_int64_le data off (Int64.bits_of_float v)
+  let off = resolve t addr ~write:true in
+  Bytes.set_int64_le t.acc_data off (Int64.bits_of_float v)
 
 (* ---------- the decoded engine's access fast path ---------- *)
 
@@ -1410,24 +1438,24 @@ let write_f64 t addr v =
 let tc_find t h =
   let slot = h land tc_mask in
   match t.tc.(slot) with
-  | Some d when d.handle = h -> Some d
+  | Some d as hit when d.handle = h -> hit
   | _ ->
     if h >= 1 && h <= Vec.length t.dss then begin
-      let d = Vec.get t.dss (h - 1) in
-      t.tc.(slot) <- Some d;
-      Some d
+      let hit = Some (Vec.get t.dss (h - 1)) in
+      t.tc.(slot) <- hit;
+      hit
     end
     else None
 
-(* Returns the backing bytes and offset for a local hit; [None] means
-   "take the slow path", with no observable action performed yet. *)
+(* A local hit returns its offset into [t.acc_data]; -1 means "take
+   the slow path", with no observable action performed yet. *)
 let resolve_fast t addr ~write =
   if Addr.is_managed addr then
     match tc_find t (Addr.ds_of addr) with
-    | None -> None
+    | None -> -1
     | Some d ->
       let off = Addr.offset_of addr in
-      if off >= d.pool_used then None
+      if off >= d.pool_used then -1
       else begin
         let o = off lsr d.obj_shift in
         let st = d.objs.(o) in
@@ -1437,42 +1465,44 @@ let resolve_fast t addr ~write =
           d.objs.(o) <-
             st lor (if write then b_ref lor b_dirty else b_ref);
           maybe_sample t;
-          Some (d.data, off)
+          set_acc_data t d.data;
+          off
         end
-        else None
+        else -1
       end
   else begin
     let off = Addr.offset_of addr in
-    if off + 8 > t.unmanaged_used then None
+    if off + 8 > t.unmanaged_used then -1
     else begin
       Rt_stats.(
         let u = unmanaged_bucket t.stats in
         u.plain_accesses <- u.plain_accesses + 1);
       charge t t.cfg.cost.mem_access;
       maybe_sample t;
-      Some (t.unmanaged_data, off)
+      set_acc_data t t.unmanaged_data;
+      off
     end
   end
 
+let access_off t addr ~write =
+  let off = resolve_fast t addr ~write in
+  if off >= 0 then off else resolve t addr ~write
+
 let read_i64_fast t addr =
-  match resolve_fast t addr ~write:false with
-  | Some (data, off) -> Int64.to_int (Bytes.get_int64_le data off)
-  | None -> read_i64 t addr
+  let off = access_off t addr ~write:false in
+  Int64.to_int (Bytes.get_int64_le t.acc_data off)
 
 let write_i64_fast t addr v =
-  match resolve_fast t addr ~write:true with
-  | Some (data, off) -> Bytes.set_int64_le data off (Int64.of_int v)
-  | None -> write_i64 t addr v
+  let off = access_off t addr ~write:true in
+  Bytes.set_int64_le t.acc_data off (Int64.of_int v)
 
 let read_f64_fast t addr =
-  match resolve_fast t addr ~write:false with
-  | Some (data, off) -> Int64.float_of_bits (Bytes.get_int64_le data off)
-  | None -> read_f64 t addr
+  let off = access_off t addr ~write:false in
+  Int64.float_of_bits (Bytes.get_int64_le t.acc_data off)
 
 let write_f64_fast t addr v =
-  match resolve_fast t addr ~write:true with
-  | Some (data, off) -> Bytes.set_int64_le data off (Int64.bits_of_float v)
-  | None -> write_f64 t addr v
+  let off = access_off t addr ~write:true in
+  Bytes.set_int64_le t.acc_data off (Int64.bits_of_float v)
 
 (* ---------- introspection ---------- *)
 

@@ -160,7 +160,8 @@ val write_f64_fast : t -> int -> float -> unit
     one probe plus one residency flag check; any other case —
     non-resident, in flight, wild — falls back to the canonical
     functions above before touching any counter, so simulated cycles,
-    stats and attribution are bit-identical whichever path is taken. *)
+    stats and attribution are bit-identical whichever path is taken.
+    A resident hit allocates nothing. *)
 
 val alloc_unmanaged : t -> size:int -> int
 (** Reserve unmanaged storage (globals segment). *)

@@ -276,6 +276,88 @@ let test_attribution_qp_matrix () =
         [ true; false ])
     [ 1; 2; 4 ]
 
+(* The ledger's memo must neither merge nor split keys.  Charges come
+   through the runtime's own stall path ([ds_alloc] books to its
+   structure at the current site).  Along each key component —
+   instruction, block, function, structure — a family of 600 keys
+   differs in that component alone.  With fewer memo slots than that,
+   whatever the slot function, sweeping one family round-robin with
+   nothing in between keeps charging a key to a slot a sibling holds,
+   so a hit test that ignored the component would merge them.  One site
+   is also charged under two function-name strings that are equal but
+   not the same string: that must stay one row. *)
+let test_attribution_memo_collisions () =
+  let n = 600 in
+  let rt =
+    R.Runtime.create R.Runtime.default_config
+      (Array.init n (fun sid -> R.Static_info.default ~sid))
+  in
+  let hs = Array.init n (fun sid -> R.Runtime.ds_init rt ~sid) in
+  let cost = R.Runtime.default_config.R.Runtime.cost in
+  let fns = Array.init n (Printf.sprintf "fn%d") in
+  (* (function, block, instruction, structure) *)
+  let families =
+    [ List.init n (fun k -> (fns.(0), 1, k, hs.(0)));
+      List.init n (fun k -> (fns.(0), k, 1, hs.(1)));
+      List.init n (fun k -> (fns.(k), 2, 2, hs.(2)));
+      List.init n (fun k -> (fns.(0), 3, 3, hs.(k))) ]
+  in
+  let keys = List.concat families in
+  let walk = "walk" and walk' = String.concat "" [ "wa"; "lk" ] in
+  check Alcotest.bool "equal names, distinct strings" true
+    (walk' = walk && walk' != walk);
+  let rounds = 3 in
+  for _ = 1 to rounds do
+    List.iter
+      (List.iter (fun (fn, b, i, h) ->
+           R.Runtime.set_site rt ~fn ~block:b ~instr:i;
+           ignore (R.Runtime.ds_alloc rt ~handle:h ~size:8)))
+      families;
+    List.iter
+      (fun fn ->
+        R.Runtime.set_site rt ~fn ~block:99 ~instr:7;
+        ignore (R.Runtime.ds_alloc rt ~handle:hs.(0) ~size:8))
+      [ walk; walk' ]
+  done;
+  let row site ds total cause =
+    Printf.sprintf "%s ds%d %d %s=%d" site ds total
+      (O.Attribution.cause_name cause) total
+  in
+  let site_str fn b i = Printf.sprintf "%s/bb%d#%d" fn b i in
+  check Alcotest.int "keys are distinct" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  let expected =
+    List.map
+      (fun h -> row "(runtime)" h cost.R.Cost.ds_init O.Attribution.Bookkeeping)
+      (Array.to_list hs)
+    @ [ row "walk/bb99#7" hs.(0) (2 * rounds * cost.R.Cost.ds_alloc)
+          O.Attribution.Bookkeeping ]
+    @ List.map
+        (fun (fn, b, i, h) ->
+          row (site_str fn b i) h (rounds * cost.R.Cost.ds_alloc)
+            O.Attribution.Bookkeeping)
+        keys
+  in
+  let attr = R.Runtime.attribution rt in
+  let actual =
+    List.map
+      (fun (r : O.Attribution.site_row) ->
+        match r.O.Attribution.r_causes with
+        | [ (cause, v) ] ->
+          Printf.sprintf "%s ds%d %d %s=%d"
+            (O.Attribution.site_name r.O.Attribution.r_site)
+            r.O.Attribution.r_ds r.O.Attribution.r_total
+            (O.Attribution.cause_name cause) v
+        | _ -> "row with several causes")
+      (O.Attribution.site_rows attr)
+  in
+  check
+    Alcotest.(list string)
+    "exact per-site rows" (List.sort compare expected) (List.sort compare actual);
+  check Alcotest.int "ledger = now - compute"
+    (R.Runtime.now rt - O.Profile.compute (R.Runtime.profile rt))
+    (O.Attribution.total attr)
+
 (* ---------- observability does not perturb the simulation ---------- *)
 
 let test_sink_off_bit_identical () =
@@ -1217,6 +1299,8 @@ let suite =
       test_stall_attribution_sites_named;
     Alcotest.test_case "stall ledger exact across qp matrix" `Quick
       test_attribution_qp_matrix;
+    Alcotest.test_case "attribution memo collisions" `Quick
+      test_attribution_memo_collisions;
     Alcotest.test_case "chrome trace qp rows" `Quick test_chrome_trace_qp_rows;
     Alcotest.test_case "exporters on zero-event run" `Quick
       test_exporters_on_zero_event_run;

@@ -61,8 +61,10 @@ let fetch_ok f ~now ~bytes =
 let fetch f ~now ~bytes = (fetch_ok f ~now ~bytes).N.Fabric.t_complete
 
 let fetch_many_ok f ~now ~sizes =
-  match N.Fabric.fetch_many_attempt f ~now ~sizes with
-  | Ok r -> r
+  let count = Array.length sizes in
+  let completions = Array.make count 0 in
+  match N.Fabric.fetch_many_attempt f ~now ~sizes ~count ~completions with
+  | Ok tr -> (tr, completions)
   | Error _ -> Alcotest.fail "fault-free fabric NACKed a batch"
 
 let test_fabric_59k () =
@@ -265,25 +267,37 @@ let prop_policy_quota =
 
 (* ---------- Prefetcher ---------- *)
 
-let no_scan () = []
+module Tg = R.Prefetcher.Targets
 
-(* Expand a target list to the individual objects it names. *)
-let objs_of targets =
-  List.concat_map
-    (fun (t : R.Prefetcher.target) ->
-      List.init t.t_len (fun i -> t.t_obj + i))
-    targets
+let no_scan _ _ = ()
+
+(* Feed one access; the objects it emitted, in emission order. *)
+let emitted ?(scan = no_scan) p ~obj ~missed =
+  let buf = Tg.create () in
+  R.Prefetcher.on_access p buf ~obj ~missed ~scan;
+  List.init (Tg.length buf) (Tg.obj buf)
+
+(* Does [objs] contain [k] consecutive entries forming an ascending
+   run of adjacent objects (one a batching fabric carries together)? *)
+let has_run k objs =
+  let rec go len prev = function
+    | [] -> false
+    | o :: rest ->
+      let len = if o = prev + 1 then len + 1 else 1 in
+      len >= k || go len o rest
+  in
+  go 0 min_int objs
 
 let test_stride_prefetcher_locks () =
   let p = R.Prefetcher.stride ~depth:3 in
   (* Feed a stride-1 stream; after the window fills it must predict
      ahead, emitting the window as contiguous runs. *)
   let all = ref [] in
-  let runs = ref [] in
+  let calls = ref [] in
   for o = 0 to 9 do
-    let out = R.Prefetcher.on_access p ~obj:o ~missed:true ~scan:no_scan in
-    runs := !runs @ out;
-    all := !all @ objs_of out
+    let out = emitted p ~obj:o ~missed:true in
+    calls := out :: !calls;
+    all := !all @ out
   done;
   (* The issued window must reach past the last access by the depth. *)
   check Alcotest.bool "window covers obj+depth" true
@@ -297,16 +311,16 @@ let test_stride_prefetcher_locks () =
   (* ...and the window arrives as real runs a batching fabric can
      coalesce, not as per-object targets. *)
   check Alcotest.bool "emits multi-object runs" true
-    (List.exists (fun (t : R.Prefetcher.target) -> t.t_len >= 3) !runs)
+    (List.exists (has_run 3) !calls)
 
 let test_stride_prefetcher_majority () =
   let p = R.Prefetcher.stride ~depth:2 in
   (* Mostly stride 2 with one hiccup: majority must still lock 2. *)
   List.iter
-    (fun o -> ignore (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan))
+    (fun o -> ignore (emitted p ~obj:o ~missed:false))
     [ 0; 2; 4; 6; 7; 9; 11; 13 ];
-  let out = R.Prefetcher.on_access p ~obj:15 ~missed:false ~scan:no_scan in
-  check (Alcotest.list Alcotest.int) "stride 2 locked" [ 17; 19 ] (objs_of out)
+  let out = emitted p ~obj:15 ~missed:false in
+  check (Alcotest.list Alcotest.int) "stride 2 locked" [ 17; 19 ] out
 
 let test_stride_prefetcher_random_stays_quiet () =
   let p = R.Prefetcher.stride ~depth:4 in
@@ -314,21 +328,17 @@ let test_stride_prefetcher_random_stays_quiet () =
   let noisy = ref 0 in
   for _ = 1 to 50 do
     let o = Cards_util.Rng.int rng 10_000 in
-    let out = R.Prefetcher.on_access p ~obj:o ~missed:true ~scan:no_scan in
-    noisy := !noisy + List.length (objs_of out)
+    let out = emitted p ~obj:o ~missed:true in
+    noisy := !noisy + List.length out
   done;
   check Alcotest.bool "no majority, few prefetches" true (!noisy < 20)
 
 let test_greedy_scans_on_miss () =
   let p = R.Prefetcher.greedy ~fanout:2 in
-  let scan () =
-    [ { R.Prefetcher.t_ds = 2; t_obj = 7; t_len = 1 };
-      { R.Prefetcher.t_ds = 2; t_obj = 8; t_len = 1 };
-      { R.Prefetcher.t_ds = 2; t_obj = 9; t_len = 1 } ]
-  in
-  let out = R.Prefetcher.on_access p ~obj:0 ~missed:true ~scan in
+  let scan _ buf = List.iter (fun obj -> Tg.push buf ~ds:2 ~obj) [ 7; 8; 9 ] in
+  let out = emitted ~scan p ~obj:0 ~missed:true in
   check Alcotest.int "fanout bounded" 2 (List.length out);
-  let out2 = R.Prefetcher.on_access p ~obj:0 ~missed:false ~scan in
+  let out2 = emitted ~scan p ~obj:0 ~missed:false in
   check Alcotest.int "no scan on hit" 0 (List.length out2)
 
 let test_jump_learns_second_traversal () =
@@ -336,12 +346,11 @@ let test_jump_learns_second_traversal () =
   let seq = [ 10; 20; 30; 40; 50 ] in
   (* First traversal: nothing useful predicted yet, table learns. *)
   List.iter
-    (fun o -> ignore (R.Prefetcher.on_access p ~obj:o ~missed:true ~scan:no_scan))
+    (fun o -> ignore (emitted p ~obj:o ~missed:true))
     seq;
   (* Second traversal: at 10 it should jump toward 30 (2 ahead). *)
-  let out = R.Prefetcher.on_access p ~obj:10 ~missed:true ~scan:no_scan in
-  check Alcotest.bool "jump target learned" true
-    (List.exists (fun t -> t.R.Prefetcher.t_obj = 30) out)
+  let out = emitted p ~obj:10 ~missed:true in
+  check Alcotest.bool "jump target learned" true (List.mem 30 out)
 
 let test_of_class () =
   check Alcotest.bool "no_prefetch -> none" true
@@ -1221,16 +1230,16 @@ let test_prefetcher_degenerate_structures () =
   let st = R.Prefetcher.stride ~depth:4 in
   for _ = 1 to 10 do
     check (Alcotest.list Alcotest.int) "repeated object: silent" []
-      (objs_of (R.Prefetcher.on_access st ~obj:5 ~missed:true ~scan:no_scan))
+      (emitted st ~obj:5 ~missed:true)
   done;
   check Alcotest.int "calls observed" 10 (R.Prefetcher.calls st);
   check Alcotest.int "nothing emitted" 0 (R.Prefetcher.targets_emitted st);
   let g = R.Prefetcher.greedy ~fanout:4 in
   check (Alcotest.list Alcotest.int) "greedy on empty scan: silent" []
-    (objs_of (R.Prefetcher.on_access g ~obj:0 ~missed:true ~scan:no_scan));
+    (emitted g ~obj:0 ~missed:true);
   let j = R.Prefetcher.jump ~jump:4 ~depth:2 in
   check (Alcotest.list Alcotest.int) "jump first touch: silent" []
-    (objs_of (R.Prefetcher.on_access j ~obj:0 ~missed:true ~scan:no_scan))
+    (emitted j ~obj:0 ~missed:true)
 
 let test_stride_reversal_mid_run () =
   (* Ascend long enough to lock stride +1, then walk back down: the
@@ -1238,12 +1247,12 @@ let test_stride_reversal_mid_run () =
      new direction, and no target may ever go negative. *)
   let p = R.Prefetcher.stride ~depth:3 in
   for o = 0 to 9 do
-    ignore (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+    ignore (emitted p ~obj:o ~missed:false)
   done;
   let saw_down = ref false and saw_neg = ref false in
   for o = 9 downto 0 do
     let out =
-      objs_of (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+      emitted p ~obj:o ~missed:false
     in
     if List.exists (fun t -> t < o) out then saw_down := true;
     if List.exists (fun t -> t < 0) out then saw_neg := true
@@ -1257,13 +1266,13 @@ let test_stride_frontier_snapback () =
      every prefetch on the re-traversal. *)
   let p = R.Prefetcher.stride ~depth:3 in
   for o = 0 to 99 do
-    ignore (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+    ignore (emitted p ~obj:o ~missed:false)
   done;
   let second = ref [] in
   for o = 0 to 9 do
     second :=
       !second
-      @ objs_of (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+      @ emitted p ~obj:o ~missed:false
   done;
   check Alcotest.bool "re-traversal prefetches again" true
     (List.mem 3 !second && List.mem 5 !second)
@@ -1273,7 +1282,7 @@ let test_stride_hysteresis () =
      still inside the issued window stay silent until the frontier
      comes within depth of the access point. *)
   let p = R.Prefetcher.stride ~depth:4 in
-  let at o = objs_of (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan) in
+  let at o = emitted p ~obj:o ~missed:false in
   for o = 0 to 3 do ignore (at o) done;
   (* The lock engages at obj 4 and emits the initial window. *)
   check Alcotest.bool "window issued at lock" true (at 4 <> []);
@@ -1285,6 +1294,122 @@ let test_stride_hysteresis () =
   check Alcotest.bool "tops up as the frontier nears" true (topup <> []);
   check Alcotest.bool "top-up is fresh objects only" true
     (List.for_all (fun t -> t >= 13) topup)
+
+(* ---------- Prefetcher jump table vs a reference model ---------- *)
+
+(* The jump-pointer prefetcher as a [Hashtbl]-backed reference: the
+   same record/chase cadence over an unbounded map, returning each
+   call's targets farthest hop first. *)
+let jump_model ~jump ~depth =
+  let table = Hashtbl.create 16 and ring = Array.make jump 0 in
+  let ring_n = ref 0 and ring_pos = ref 0 and since = ref 0 in
+  fun ~obj ~missed ->
+    let out =
+      if !ring_n >= jump then begin
+        Hashtbl.replace table ring.(!ring_pos) obj;
+        incr since;
+        if missed || !since >= jump then begin
+          since := 0;
+          let rec chase from d acc =
+            if d = 0 then acc
+            else
+              match Hashtbl.find_opt table from with
+              | Some next -> chase next (d - 1) (next :: acc)
+              | None -> acc
+          in
+          chase obj depth []
+        end
+        else []
+      end
+      else []
+    in
+    ring.(!ring_pos) <- obj;
+    ring_pos := (!ring_pos + 1) mod jump;
+    if !ring_n < jump then incr ring_n;
+    out
+
+(* Streams are a random chain traversed three times (so the table has
+   something to chase) with random miss flags; object indices reach
+   past the table's initial 256 slots. *)
+let prop_jump_matches_model =
+  QCheck.Test.make ~name:"jump prefetcher = Hashtbl model" ~count:300
+    QCheck.(
+      quad (int_range 1 8) (int_range 1 16)
+        (list_of_size Gen.(int_range 1 60) (int_range 0 3000))
+        (list_of_size Gen.(int_range 1 30) bool))
+    (fun (jump, depth, chain, misses) ->
+      let p = R.Prefetcher.jump ~jump ~depth and model = jump_model ~jump ~depth in
+      let stream = chain @ List.rev chain @ chain in
+      let nm = List.length misses in
+      List.for_all
+        (fun (i, obj) ->
+          let missed = List.nth misses (i mod nm) in
+          emitted p ~obj ~missed = model ~obj ~missed)
+        (List.mapi (fun i o -> (i, o)) stream))
+
+(* A batch's in-place ordering is [List.sort_uniq compare] over its
+   (handle, object) pairs: same set, same order. *)
+let prop_targets_sort_uniq =
+  QCheck.Test.make ~name:"Targets.sort_uniq = List.sort_uniq" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 150) (pair (int_range 0 3) (int_range 0 40)))
+    (fun pairs ->
+      let buf = Tg.create () in
+      List.iter (fun (ds, obj) -> Tg.push buf ~ds ~obj) pairs;
+      Tg.sort_uniq buf;
+      List.init (Tg.length buf) (fun i -> (Tg.ds buf i, Tg.obj buf i))
+      = List.sort_uniq compare pairs)
+
+(* ---------- allocation-free hot paths ---------- *)
+
+(* Minor-heap words [f] allocates, net of the measurement itself. *)
+let minor_words f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  int_of_float (words f -. words (fun () -> ()))
+
+let test_rt_hot_paths_allocation_free () =
+  (* Warmed runtime, null sink (tracing off), prefetching off. *)
+  let info = { (R.Static_info.default ~sid:0) with obj_size = 64 } in
+  let rt =
+    R.Runtime.create
+      { R.Runtime.default_config with
+        policy = R.Policy.All_remotable; k = 0.0; local_bytes = 1 lsl 20;
+        remotable_bytes = 8 * 64; prefetch_mode = R.Runtime.Pf_none }
+      [| info |]
+  in
+  let h = R.Runtime.ds_init rt ~sid:0 in
+  let a = R.Runtime.ds_alloc rt ~handle:h ~size:64 in
+  R.Runtime.guard rt ~write:false a;
+  ignore (R.Runtime.read_i64_fast rt a);
+  check Alcotest.int "10 000 resident guard hits" 0
+    (minor_words (fun () ->
+         for _ = 1 to 10_000 do
+           R.Runtime.guard rt ~write:false a
+         done));
+  check Alcotest.int "10 000 read_i64_fast hits" 0
+    (minor_words (fun () ->
+         for _ = 1 to 10_000 do
+           ignore (R.Runtime.read_i64_fast rt a)
+         done));
+  (* Steady-state CLOCK: the cache holds 8 objects, so every further
+     allocation inserts one and evicts one.  Warm to 16 385 objects:
+     pool bytes (doubling to 2 MiB) and the flag arrays (doubling to
+     32 768) then have room for the 10 000 measured allocations, so
+     only the insert/evict cycle itself could allocate. *)
+  for _ = 2 to 16_385 do
+    ignore (R.Runtime.ds_alloc rt ~handle:h ~size:64)
+  done;
+  let ev0 = (R.Rt_stats.total (R.Runtime.stats rt)).R.Rt_stats.evictions in
+  check Alcotest.int "10 000 evict/insert cycles" 0
+    (minor_words (fun () ->
+         for _ = 1 to 10_000 do
+           ignore (R.Runtime.ds_alloc rt ~handle:h ~size:64)
+         done));
+  check Alcotest.int "each allocation evicted one object" 10_000
+    ((R.Rt_stats.total (R.Runtime.stats rt)).R.Rt_stats.evictions - ev0)
 
 let suite =
   [ ("addr basics", `Quick, test_addr_basics);
@@ -1366,6 +1491,9 @@ let suite =
     ("stride reversal mid-run", `Quick, test_stride_reversal_mid_run);
     ("stride frontier snap-back", `Quick, test_stride_frontier_snapback);
     ("stride hysteresis", `Quick, test_stride_hysteresis);
+    ("rt hot paths allocation-free", `Quick, test_rt_hot_paths_allocation_free);
+    qcheck prop_jump_matches_model;
+    qcheck prop_targets_sort_uniq;
     qcheck prop_fabric_completion_monotone;
     qcheck prop_addr_roundtrip;
     qcheck prop_addr_arith_stays_in_ds;

@@ -386,6 +386,56 @@ let test_vec_bounds () =
     (Invalid_argument "Vec: index 1 out of range (len 1)") (fun () ->
       ignore (U.Vec.get v 1))
 
+(* ---------- Ring ---------- *)
+
+(* Pop the oldest pair, as [Queue.pop] would return it. *)
+let ring_pop r =
+  let p = (U.Ring.head_fst r, U.Ring.head_snd r) in
+  U.Ring.drop r;
+  p
+
+let test_ring_grows_while_wrapped () =
+  (* Fill the initial 16 slots, pop 10 so the head sits mid-array, then
+     push past capacity: the live pairs straddle the wrap when the ring
+     doubles, and must come out in push order. *)
+  let r = U.Ring.create () in
+  for i = 0 to 15 do U.Ring.push r i (-i) done;
+  for i = 0 to 9 do
+    check Alcotest.(pair int int) "pre-wrap order" (i, -i) (ring_pop r)
+  done;
+  for i = 16 to 40 do U.Ring.push r i (-i) done;
+  check Alcotest.int "length" 31 (U.Ring.length r);
+  for i = 10 to 40 do
+    check Alcotest.(pair int int) "order across growth" (i, -i) (ring_pop r)
+  done;
+  check Alcotest.bool "drained" true (U.Ring.is_empty r);
+  Alcotest.check_raises "empty head" (Invalid_argument "Ring: empty")
+    (fun () -> ignore (U.Ring.head_fst r));
+  Alcotest.check_raises "empty drop" (Invalid_argument "Ring: empty")
+    (fun () -> U.Ring.drop r)
+
+(* Ring = Stdlib.Queue of pairs under any push/pop interleaving.  Runs
+   of pushes between pops wrap the ring and grow it while wrapped. *)
+let prop_ring_is_queue =
+  QCheck.Test.make ~name:"Ring behaves as a Queue of pairs" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 400) (option (pair small_int int)))
+    (fun ops ->
+      let r = U.Ring.create () and q = Queue.create () in
+      let same_pop () = Queue.is_empty q || ring_pop r = Queue.pop q in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Some (a, b) ->
+             U.Ring.push r a b;
+             Queue.push (a, b) q;
+             true
+           | None -> same_pop ())
+          && U.Ring.length r = Queue.length q
+          && U.Ring.is_empty r = Queue.is_empty q)
+        ops
+      && List.for_all (fun _ -> same_pop ()) ops
+      && U.Ring.is_empty r)
+
 (* ---------- Table ---------- *)
 
 let test_table_render () =
@@ -443,4 +493,6 @@ let suite =
     qcheck prop_uf_equivalence;
     qcheck prop_uf_count_matches_classes;
     qcheck prop_bitset_model;
-    qcheck prop_pqueue_sorted ]
+    qcheck prop_pqueue_sorted;
+    ("ring grows while wrapped", `Quick, test_ring_grows_while_wrapped);
+    qcheck prop_ring_is_queue ]
