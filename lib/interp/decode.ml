@@ -22,6 +22,13 @@
        translation-cache probe, everything else falls back to the
        canonical slow path.
 
+   Execution allocates nothing in the steady state.  Register frames
+   come from a per-function pool, a float return rides in an extra
+   float slot of the frame, and no float value crosses a closure or
+   module boundary: float operands are read inside the closure that
+   uses them ([fget], inlined), and float loads and stores move the raw
+   bytes through [Runtime.access_off] / [Runtime.acc_data].
+
    Semantics are the reference interpreter's, bit for bit: same trap
    messages raised at the same execution points (never at decode
    time — dead code containing an ill-typed operand or an unknown
@@ -40,22 +47,23 @@ module Event = Cards_obs.Event
 
 open Sem
 
-(* Register files are split as in the reference interpreter; [ret_i] /
-   [ret_f] carry the return value out of a frame without allocating. *)
+(* Register files are split as in the reference interpreter.  An int
+   return value leaves the frame in [ret_i], a float one in the extra
+   last slot of [floats] (index [nregs]): unboxed storage, where a
+   mutable float field of this mixed record would box every write. *)
 type frame = {
   ints : int array;
   floats : float array;
   mutable ret_i : int;
-  mutable ret_f : float;
 }
 
 type op = frame -> unit
 
 (* A terminator returns the next block id, or a negative return code:
    [ret_int] when the frame returned an integer (in [ret_i]), [ret_flt]
-   when it returned a float (in [ret_f]).  The distinction is dynamic
-   because the reference interpreter's [Ret None] yields integer 0
-   even in a float-returning function. *)
+   when it returned a float (in [floats.(nregs)]).  The distinction is
+   dynamic because the reference interpreter's [Ret None] yields
+   integer 0 even in a float-returning function. *)
 let ret_int = -1
 let ret_flt = -2
 
@@ -70,15 +78,45 @@ type dfunc = {
   mutable dblocks : dblock array;       (* filled in the second pass so
                                            mutually recursive calls
                                            resolve directly *)
+  mutable pool : frame array;           (* frames free for reuse: the
+                                           first [free] entries *)
+  mutable free : int;
 }
 
 type t = { st : state; table : (string, dfunc) Hashtbl.t }
 
-let new_frame df =
-  { ints = Array.make df.nregs 0;
-    floats = Array.make df.nregs 0.0;
-    ret_i = 0;
-    ret_f = 0.0 }
+(* ---------- frame pool ---------- *)
+
+(* A call takes its frame from the callee's pool and gives it back on
+   return, so steady-state calls allocate nothing; the pool grows to
+   the deepest recursion seen.  A reused frame is zero-filled because a
+   fresh frame reads 0 / 0.0, which a register read before its first
+   write observes.  A frame a trap unwinds out of is simply never given
+   back.  Pools belong to the decoded program, never to module state:
+   the serving layer runs programs on several domains at once. *)
+let acquire df =
+  let n = df.free in
+  if n = 0 then
+    { ints = Array.make df.nregs 0;
+      floats = Array.make (df.nregs + 1) 0.0;
+      ret_i = 0 }
+  else begin
+    df.free <- n - 1;
+    let fr = df.pool.(n - 1) in
+    Array.fill fr.ints 0 df.nregs 0;
+    Array.fill fr.floats 0 df.nregs 0.0;
+    fr
+  end
+
+let release df fr =
+  let cap = Array.length df.pool in
+  if df.free = cap then begin
+    let grown = Array.make (max 4 (2 * cap)) fr in
+    Array.blit df.pool 0 grown 0 cap;
+    df.pool <- grown
+  end;
+  df.pool.(df.free) <- fr;
+  df.free <- df.free + 1
 
 (* ---------- operand decoding ---------- *)
 
@@ -95,22 +133,33 @@ let int_rd st v : frame -> int =
     | None -> fun _ -> trap "unknown global @%s" g)
   | Instr.Fimm _ -> fun _ -> trap "float immediate in integer context"
 
-let float_rd st (fl : bool array) v : frame -> float =
+(* A float operand, resolved at decode time.  A reader closure
+   returning [float] would box every value it returns, so closures hold
+   an [fsrc] and read it with [fget], which is inlined into them. *)
+type fsrc =
+  | Ff of int      (* float register *)
+  | Fi of int      (* integer register, converted *)
+  | Fk of float    (* immediate, null, or a known global's address *)
+  | Fbad of string (* unknown global: traps when read *)
+
+let fsrc st (fl : bool array) v =
   match (v : Instr.value) with
-  | Instr.Reg r ->
-    if fl.(r) then fun fr -> fr.floats.(r)
-    else fun fr -> float_of_int fr.ints.(r)
-  | Instr.Fimm x -> fun _ -> x
-  | Instr.Imm i ->
-    let c = Int64.to_float i in
-    fun _ -> c
-  | Instr.Null -> fun _ -> 0.0
+  | Instr.Reg r -> if fl.(r) then Ff r else Fi r
+  | Instr.Fimm x -> Fk x
+  | Instr.Imm i -> Fk (Int64.to_float i)
+  | Instr.Null -> Fk 0.0
   | Instr.GlobalAddr g -> (
     match Hashtbl.find_opt st.globals g with
-    | Some a ->
-      let c = float_of_int a in
-      fun _ -> c
-    | None -> fun _ -> trap "unknown global @%s" g)
+    | Some a -> Fk (float_of_int a)
+    | None -> Fbad g)
+
+(* Use [fget] only as a direct operand of a float primitive or store:
+   bound by [let], its value would be boxed again. *)
+let[@inline] fget fr = function
+  | Ff r -> fr.floats.(r)
+  | Fi r -> float_of_int fr.ints.(r)
+  | Fk c -> c
+  | Fbad g -> trap "unknown global @%s" g
 
 let floaty (fl : bool array) v =
   match (v : Instr.value) with
@@ -179,6 +228,54 @@ let dec_icmp st r cop a b : op =
       Runtime.charge rt c;
       fr.ints.(r) <- (if opf (fa fr) (fb fr) then 1 else 0)
 
+(* Float binops: reg op reg gets a dedicated closure per operator, as
+   in [dec_ibin]; other shapes read their operands through [fget].
+   OCaml evaluates the right operand first, as the reference's
+   [exec_fbin] application does, so a trapping operand pair traps on
+   the same one. *)
+let dec_fbin st r op a b : op =
+  let rt = st.rt in
+  let c = st.cost.alu in
+  match (op : Instr.binop), a, b with
+  | Fadd, Ff x, Ff y ->
+    fun fr ->
+      Runtime.charge rt c;
+      fr.floats.(r) <- fr.floats.(x) +. fr.floats.(y)
+  | Fadd, _, _ ->
+    fun fr -> Runtime.charge rt c; fr.floats.(r) <- fget fr a +. fget fr b
+  | Fsub, Ff x, Ff y ->
+    fun fr ->
+      Runtime.charge rt c;
+      fr.floats.(r) <- fr.floats.(x) -. fr.floats.(y)
+  | Fsub, _, _ ->
+    fun fr -> Runtime.charge rt c; fr.floats.(r) <- fget fr a -. fget fr b
+  | Fmul, Ff x, Ff y ->
+    fun fr ->
+      Runtime.charge rt c;
+      fr.floats.(r) <- fr.floats.(x) *. fr.floats.(y)
+  | Fmul, _, _ ->
+    fun fr -> Runtime.charge rt c; fr.floats.(r) <- fget fr a *. fget fr b
+  | Fdiv, Ff x, Ff y ->
+    fun fr ->
+      Runtime.charge rt c;
+      fr.floats.(r) <- fr.floats.(x) /. fr.floats.(y)
+  | Fdiv, _, _ ->
+    fun fr -> Runtime.charge rt c; fr.floats.(r) <- fget fr a /. fget fr b
+  | (Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr), _, _ ->
+    invalid_arg "Decode.dec_fbin: integer operator"
+
+let dec_fcmp st r cop a b : op =
+  let rt = st.rt in
+  let c = st.cost.alu in
+  let set fr v = fr.ints.(r) <- (if v then 1 else 0) in
+  match (cop : Instr.cmpop) with
+  | Eq -> fun fr -> Runtime.charge rt c; set fr (fget fr a = fget fr b)
+  | Ne -> fun fr -> Runtime.charge rt c; set fr (fget fr a <> fget fr b)
+  | Lt -> fun fr -> Runtime.charge rt c; set fr (fget fr a < fget fr b)
+  | Le -> fun fr -> Runtime.charge rt c; set fr (fget fr a <= fget fr b)
+  | Gt -> fun fr -> Runtime.charge rt c; set fr (fget fr a > fget fr b)
+  | Ge -> fun fr -> Runtime.charge rt c; set fr (fget fr a >= fget fr b)
+
 (* Forward reference: the Call decoder needs to execute a decoded
    function, and execution needs decoded blocks.  Tied below. *)
 let exec_ref : (state -> dfunc -> frame -> int) ref =
@@ -200,10 +297,10 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
   | "print_float" -> (
     match args with
     | a0 :: _ ->
-      let rd = float_rd st fl a0 in
+      let src = fsrc st fl a0 in
       fun fr ->
         Runtime.charge rt c;
-        Buffer.add_string st.out (Printf.sprintf "%.6g" (rd fr));
+        Buffer.add_string st.out (Printf.sprintf "%.6g" (fget fr src));
         Buffer.add_char st.out '\n'
     | [] -> fun _ -> Runtime.charge rt c; failwith "hd")
   | "clock" -> (
@@ -223,8 +320,8 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
         | (_, ty) :: ps', v :: vs' ->
           (match (ty : Types.t) with
            | Types.F64 ->
-             let rd = float_rd st fl v in
-             (fun fr -> ignore (rd fr)) :: prefix ps' vs'
+             let src = fsrc st fl v in
+             (fun fr -> ignore (fget fr src)) :: prefix ps' vs'
            | _ ->
              let rd = int_rd st v in
              (fun fr -> ignore (rd fr)) :: prefix ps' vs')
@@ -244,50 +341,47 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
           (List.map2
              (fun (pr, ty) v ->
                match (ty : Types.t) with
-               | Types.F64 ->
-                 let rd = float_rd st fl v in
-                 fun fr cf -> cf.floats.(pr) <- rd fr
+               | Types.F64 -> (
+                 match fsrc st fl v with
+                 | Ff x -> fun fr cf -> cf.floats.(pr) <- fr.floats.(x)
+                 | src -> fun fr cf -> cf.floats.(pr) <- fget fr src)
                | _ ->
                  let rd = int_rd st v in
                  fun fr cf -> cf.ints.(pr) <- rd fr)
              df.params args)
       in
-      let store_ret : (int -> frame -> frame -> unit) option =
-        match ropt with
-        | None -> None
-        | Some r ->
-          if fl.(r) then
-            Some
-              (fun code fr cf ->
-                fr.floats.(r) <-
-                  (if code = ret_flt then cf.ret_f
-                   else float_of_int cf.ret_i))
-          else
-            Some
-              (fun code fr cf ->
-                fr.ints.(r) <-
-                  (if code = ret_flt then int_of_float cf.ret_f
-                   else cf.ret_i))
-      in
       let nmovers = Array.length movers in
-      match store_ret with
+      let enter fr =
+        Runtime.charge rt c;
+        let cf = acquire df in
+        for i = 0 to nmovers - 1 do
+          movers.(i) fr cf
+        done;
+        cf
+      in
+      let fret = df.nregs in
+      match ropt with
       | None ->
         fun fr ->
-          Runtime.charge rt c;
-          let cf = new_frame df in
-          for i = 0 to nmovers - 1 do
-            movers.(i) fr cf
-          done;
-          ignore (!exec_ref st df cf)
-      | Some store ->
+          let cf = enter fr in
+          ignore (!exec_ref st df cf);
+          release df cf
+      | Some r when fl.(r) ->
         fun fr ->
-          Runtime.charge rt c;
-          let cf = new_frame df in
-          for i = 0 to nmovers - 1 do
-            movers.(i) fr cf
-          done;
+          let cf = enter fr in
           let code = !exec_ref st df cf in
-          store code fr cf)
+          fr.floats.(r) <-
+            (if code = ret_flt then cf.floats.(fret)
+             else float_of_int cf.ret_i);
+          release df cf
+      | Some r ->
+        fun fr ->
+          let cf = enter fr in
+          let code = !exec_ref st df cf in
+          fr.ints.(r) <-
+            (if code = ret_flt then int_of_float cf.floats.(fret)
+             else cf.ret_i);
+          release df cf)
 
 let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
   let rt = st.rt in
@@ -297,28 +391,19 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
      but resolved at decode time instead of per instruction. *)
   match ins with
   | Instr.Bin (r, op, a, b) ->
-    if Instr.is_float_binop op then begin
-      let c = st.cost.alu in
-      let fa = float_rd st fl a and fb = float_rd st fl b in
-      let opf = fbin_fn op in
-      fun fr -> Runtime.charge rt c; fr.floats.(r) <- opf (fa fr) (fb fr)
-    end
+    if Instr.is_float_binop op then
+      dec_fbin st r op (fsrc st fl a) (fsrc st fl b)
     else dec_ibin st r op a b
   | Instr.Cmp (r, cop, a, b) ->
-    if floaty fl a || floaty fl b then begin
-      let c = st.cost.alu in
-      let fa = float_rd st fl a and fb = float_rd st fl b in
-      let opf = fcmp_fn cop in
-      fun fr ->
-        Runtime.charge rt c;
-        fr.ints.(r) <- (if opf (fa fr) (fb fr) then 1 else 0)
-    end
+    if floaty fl a || floaty fl b then
+      dec_fcmp st r cop (fsrc st fl a) (fsrc st fl b)
     else dec_icmp st r cop a b
   | Instr.Mov (r, v) ->
     let c = st.cost.alu in
     if fl.(r) then begin
-      let rd = float_rd st fl v in
-      fun fr -> Runtime.charge rt c; fr.floats.(r) <- rd fr
+      match fsrc st fl v with
+      | Ff x -> fun fr -> Runtime.charge rt c; fr.floats.(r) <- fr.floats.(x)
+      | src -> fun fr -> Runtime.charge rt c; fr.floats.(r) <- fget fr src
     end
     else begin
       match (v : Instr.value) with
@@ -336,14 +421,16 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
     fun fr -> Runtime.charge rt c; fr.floats.(r) <- float_of_int (rd fr)
   | Instr.F2i (r, v) ->
     let c = st.cost.alu in
-    let rd = float_rd st fl v in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- int_of_float (rd fr)
+    let src = fsrc st fl v in
+    fun fr -> Runtime.charge rt c; fr.ints.(r) <- int_of_float (fget fr src)
   | Instr.Load (r, ty, addr) ->
     let rd = int_rd st addr in
     if Types.equal ty Types.F64 then
       fun fr ->
         Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-        fr.floats.(r) <- Runtime.read_f64_fast rt (rd fr)
+        let off = Runtime.access_off rt (rd fr) ~write:false in
+        fr.floats.(r) <-
+          Int64.float_of_bits (Bytes.get_int64_le (Runtime.acc_data rt) off)
     else
       fun fr ->
         Runtime.set_site rt ~fn ~block:bid ~instr:idx;
@@ -351,11 +438,15 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
   | Instr.Store (ty, addr, v) ->
     let ra = int_rd st addr in
     if Types.equal ty Types.F64 then begin
-      let rv = float_rd st fl v in
+      let src = fsrc st fl v in
       fun fr ->
         Runtime.set_site rt ~fn ~block:bid ~instr:idx;
         let a = ra fr in
-        Runtime.write_f64_fast rt a (rv fr)
+        (* the value is read before the access is accounted, as in the
+           reference; as raw bits it stays unboxed *)
+        let bits = Int64.bits_of_float (fget fr src) in
+        let off = Runtime.access_off rt a ~write:true in
+        Bytes.set_int64_le (Runtime.acc_data rt) off bits
     end
     else begin
       let rv = int_rd st v in
@@ -401,12 +492,16 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
       fr.ints.(r) <- Runtime.ds_alloc rt ~handle:(rh fr) ~size:(rs fr)
   | Instr.LoopCheck (r, bases) ->
     let rds = Array.of_list (List.map (int_rd st) bases) in
-    let n = Array.length rds in
+    (* One scratch array per site: nothing runs between filling it and
+       the check, so recursion cannot interleave two uses. *)
+    let addrs = Array.make (Array.length rds) 0 in
     fun fr ->
       Runtime.set_site rt ~fn ~block:bid ~instr:idx;
       (* left-to-right, as the reference's [List.map] evaluates *)
-      let rec build i = if i = n then [] else rds.(i) fr :: build (i + 1) in
-      fr.ints.(r) <- (if Runtime.loop_check rt (build 0) then 1 else 0)
+      for i = 0 to Array.length rds - 1 do
+        addrs.(i) <- rds.(i) fr
+      done;
+      fr.ints.(r) <- (if Runtime.loop_check rt addrs then 1 else 0)
   | Instr.Prefetch _ ->
     let c = st.cost.alu in
     fun _ -> Runtime.charge rt c
@@ -421,10 +516,10 @@ let dec_term st (f : Func.t) fl ~bid (term : Instr.term) : frame -> int =
   | Instr.Cbr (v, bt, bf) ->
     let c = st.cost.branch in
     if floaty fl v then begin
-      let rd = float_rd st fl v in
+      let src = fsrc st fl v in
       fun fr ->
         Runtime.charge rt c;
-        if rd fr <> 0.0 then bt else bf
+        if fget fr src <> 0.0 then bt else bf
     end
     else begin
       match (v : Instr.value) with
@@ -441,8 +536,10 @@ let dec_term st (f : Func.t) fl ~bid (term : Instr.term) : frame -> int =
   | Instr.Ret None -> fun fr -> fr.ret_i <- 0; ret_int
   | Instr.Ret (Some v) ->
     if Types.equal f.ret Types.F64 then begin
-      let rd = float_rd st fl v in
-      fun fr -> fr.ret_f <- rd fr; ret_flt
+      let fret = Func.nregs f in
+      match fsrc st fl v with
+      | Ff x -> fun fr -> fr.floats.(fret) <- fr.floats.(x); ret_flt
+      | src -> fun fr -> fr.floats.(fret) <- fget fr src; ret_flt
     end
     else begin
       let rd = int_rd st v in
@@ -454,38 +551,44 @@ let dec_term st (f : Func.t) fl ~bid (term : Instr.term) : frame -> int =
 
 (* ---------- execution ---------- *)
 
+(* A loop, not a local recursive function: that would be a closure
+   allocated on every call. *)
 let run_blocks st df fr =
   let fuel = st.fuel in
-  let rec go bid =
-    let b = df.dblocks.(bid) in
+  let bid = ref 0 in
+  while !bid >= 0 do
+    let b = df.dblocks.(!bid) in
     let ops = b.ops in
-    let n = Array.length ops in
-    for i = 0 to n - 1 do
+    for i = 0 to Array.length ops - 1 do
       st.executed <- st.executed + 1;
       if st.executed > fuel then
         trap "fuel exhausted (%d instructions)" fuel;
       ops.(i) fr
     done;
-    let nxt = b.next fr in
-    if nxt >= 0 then go nxt else nxt
-  in
-  go 0
+    bid := b.next fr
+  done;
+  !bid
 
 (* Call-stack spans for the Chrome-trace exporter, exactly as the
    reference engine emits them: B/E pairs on the interpreter thread; a
    [Trap] unwinds without the exit event. *)
 let exec st df fr =
-  if Sink.tracing st.obs then begin
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_enter { fn = df.fname }));
-    let code = run_blocks st df fr in
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_exit { fn = df.fname }));
-    code
-  end
-  else run_blocks st df fr
+  enter_frame st;
+  let code =
+    if Sink.tracing st.obs then begin
+      Sink.emit st.obs
+        (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
+           (Event.Call_enter { fn = df.fname }));
+      let code = run_blocks st df fr in
+      Sink.emit st.obs
+        (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
+           (Event.Call_exit { fn = df.fname }));
+      code
+    end
+    else run_blocks st df fr
+  in
+  st.depth <- st.depth - 1;
+  code
 
 let () = exec_ref := exec
 
@@ -512,7 +615,7 @@ let prepare st (m : Irmod.t) =
     (fun (f : Func.t) ->
       Hashtbl.replace table f.name
         { fname = f.name; nregs = Func.nregs f; params = f.params;
-          dblocks = [||] })
+          dblocks = [||]; pool = [||]; free = 0 })
     m.funcs;
   List.iter
     (fun (f : Func.t) ->
@@ -526,7 +629,8 @@ let prepare st (m : Irmod.t) =
 (* Top-level entry: assign [argv] arguments with the reference
    interpreter's conversion rules, then run. *)
 let exec_argv t df (args : argv list) : argv =
-  let fr = new_frame df in
+  t.st.depth <- 0;
+  let fr = acquire df in
   (try
      List.iter2
        (fun (r, ty) a ->
@@ -538,7 +642,9 @@ let exec_argv t df (args : argv list) : argv =
        df.params args
    with Invalid_argument _ -> trap "arity mismatch calling %s" df.fname);
   let code = exec t.st df fr in
-  if code = ret_flt then AF fr.ret_f else AI fr.ret_i
+  let res = if code = ret_flt then AF fr.floats.(df.nregs) else AI fr.ret_i in
+  release df fr;
+  res
 
 let run_main t =
   match Hashtbl.find_opt t.table "main" with

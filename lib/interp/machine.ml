@@ -49,6 +49,7 @@ let value_is_floaty fr = function
 (* ---------- the main loop ---------- *)
 
 let rec exec_function st (f : Func.t) (args : argv list) : argv =
+  enter_frame st;
   let fr =
     { f;
       fl = float_regs st f;
@@ -99,17 +100,21 @@ let rec exec_function st (f : Func.t) (args : argv list) : argv =
   (* Call-stack spans for the Chrome-trace exporter: B/E pairs on the
      interpreter thread.  A [Trap] unwinds without the exit event,
      which is fine — the trace just ends inside the failing frame. *)
-  if Sink.tracing st.obs then begin
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_enter { fn = f.name }));
-    let res = run_block 0 in
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_exit { fn = f.name }));
-    res
-  end
-  else run_block 0
+  let res =
+    if Sink.tracing st.obs then begin
+      Sink.emit st.obs
+        (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
+           (Event.Call_enter { fn = f.name }));
+      let res = run_block 0 in
+      Sink.emit st.obs
+        (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
+           (Event.Call_exit { fn = f.name }));
+      res
+    end
+    else run_block 0
+  in
+  st.depth <- st.depth - 1;
+  res
 
 and exec_instr st fr ins =
   st.executed <- st.executed + 1;
@@ -166,7 +171,8 @@ and exec_instr st fr ins =
       Runtime.ds_alloc rt ~handle:(ival st fr h) ~size:(ival st fr size)
   | Instr.LoopCheck (r, bases) ->
     fr.ints.(r) <-
-      (if Runtime.loop_check rt (List.map (ival st fr) bases) then 1 else 0)
+      (if Runtime.loop_check rt (Array.of_list (List.map (ival st fr) bases))
+       then 1 else 0)
   | Instr.Prefetch _ -> Runtime.charge rt cost.alu
   | Instr.Call (ropt, name, args) -> exec_call st fr ropt name args
 
@@ -219,6 +225,11 @@ and exec_call st fr ropt name args =
 
 (* ---------- entry points ---------- *)
 
+(* A top-level reference-engine entry: no frame is live yet. *)
+let exec_top st f args =
+  st.depth <- 0;
+  exec_function st f args
+
 let lines_of buf =
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter (fun s -> s <> "")
@@ -253,7 +264,7 @@ let run ?fuel ?(engine = Decoded) (m : Irmod.t) rt =
       | Reference -> (
         match Hashtbl.find_opt st.funcs "main" with
         | None -> trap "module has no main"
-        | Some main -> finish st (exec_function st main [])))
+        | Some main -> finish st (exec_top st main [])))
 
 let run_function ?fuel ?(engine = Decoded) (m : Irmod.t) rt name args =
   let st = Sem.setup ?fuel m rt in
@@ -265,7 +276,7 @@ let run_function ?fuel ?(engine = Decoded) (m : Irmod.t) rt name args =
       | Reference -> (
         match Hashtbl.find_opt st.funcs name with
         | None -> trap "no function %s" name
-        | Some f -> finish st (exec_function st f argv)))
+        | Some f -> finish st (exec_top st f argv)))
 
 (* ---------- sessions (the serving layer) ---------- *)
 
@@ -300,7 +311,7 @@ let call s name args =
         | None -> (
           match Hashtbl.find_opt st.funcs name with
           | None -> trap "no function %s" name
-          | Some f -> exec_function st f argv))
+          | Some f -> exec_top st f argv))
   in
   let output =
     let len = Buffer.length st.out in

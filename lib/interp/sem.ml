@@ -25,9 +25,24 @@ type state = {
          never re-derived per access *)
   mutable executed : int;
   fuel : int;
+  mutable depth : int;  (* frames entered and not yet returned *)
   out : Buffer.t;
   obs : Sink.t;   (* the runtime's sink, cached for call-stack events *)
 }
+
+(* The deepest call nesting a program may reach.  A fixed bound, not
+   an option: unbounded recursion must end in a trap, not exhaust the
+   host's memory, and both engines must trap at the same call. *)
+let max_call_depth = 10_000
+
+(* Entering a frame: both engines call this once per function entry,
+   after the call's arguments are evaluated.  Top-level entries reset
+   [depth] first, so a trap that unwound frames leaves no residue. *)
+let enter_frame st =
+  let d = st.depth + 1 in
+  if d > max_call_depth then
+    trap "call depth exceeded (%d frames)" max_call_depth;
+  st.depth <- d
 
 let global_addr st g =
   match Hashtbl.find_opt st.globals g with
@@ -98,8 +113,9 @@ let exec_fcmp op (a : float) b =
   in
   if r then 1 else 0
 
-(* Decode-time variants: the operator is resolved to a closure once,
-   so the per-execution work is one indirect call instead of a match. *)
+(* Decode-time variants of the integer operators: the operator is
+   resolved to a closure once, so the per-execution work is one
+   indirect call instead of a match. *)
 
 let ibin_fn (op : Instr.binop) : int -> int -> int =
   match op with
@@ -116,20 +132,7 @@ let ibin_fn (op : Instr.binop) : int -> int -> int =
   | Fadd | Fsub | Fmul | Fdiv ->
     fun _ _ -> trap "float op in integer context"
 
-let fbin_fn (op : Instr.binop) : float -> float -> float =
-  match op with
-  | Fadd -> ( +. )
-  | Fsub -> ( -. )
-  | Fmul -> ( *. )
-  | Fdiv -> ( /. )
-  | _ -> fun _ _ -> trap "integer op in float context"
-
 let icmp_fn (op : Instr.cmpop) : int -> int -> bool =
-  match op with
-  | Eq -> ( = ) | Ne -> ( <> ) | Lt -> ( < )
-  | Le -> ( <= ) | Gt -> ( > ) | Ge -> ( >= )
-
-let fcmp_fn (op : Instr.cmpop) : float -> float -> bool =
   match op with
   | Eq -> ( = ) | Ne -> ( <> ) | Lt -> ( < )
   | Le -> ( <= ) | Gt -> ( > ) | Ge -> ( >= )
@@ -142,7 +145,8 @@ let setup ?(fuel = max_int) (m : Irmod.t) rt =
   let globals = Hashtbl.create 16 in
   let st =
     { rt; cost = Cost.cards; funcs; globals; floaty = Hashtbl.create 16;
-      executed = 0; fuel; out = Buffer.create 256; obs = Runtime.sink rt }
+      executed = 0; fuel; depth = 0; out = Buffer.create 256;
+      obs = Runtime.sink rt }
   in
   List.iter
     (fun (g : Irmod.global) ->

@@ -27,6 +27,7 @@ type state = {
   floaty : (string, bool array) Hashtbl.t;
   mutable executed : int;
   fuel : int;
+  mutable depth : int;
   out : Buffer.t;
   obs : Cards_obs.Sink.t;
 }
@@ -35,6 +36,17 @@ type state = {
 val setup : ?fuel:int -> Cards_ir.Irmod.t -> Cards_runtime.Runtime.t -> state
 (** Build the function table, allocate and initialize globals.
     [fuel] bounds the executed instruction count (default unlimited). *)
+
+val max_call_depth : int
+(** The deepest call nesting either engine runs (10 000 frames,
+    [main] included). *)
+
+val enter_frame : state -> unit
+(** Count one more live frame in [depth].  @raise Trap
+    ["call depth exceeded (10000 frames)"] when the call would nest
+    deeper than {!max_call_depth}.  Each engine calls it at function
+    entry, after the arguments are evaluated, decrements [depth] on
+    return, and sets it to 0 before a top-level entry. *)
 
 val global_addr : state -> string -> int
 (** Unmanaged address of a global; traps when unknown. *)
@@ -57,12 +69,13 @@ val exec_fbin : Cards_ir.Instr.binop -> float -> float -> float
 val exec_icmp : Cards_ir.Instr.cmpop -> int -> int -> int
 val exec_fcmp : Cards_ir.Instr.cmpop -> float -> float -> int
 
-(** Decode-time variants: resolve the operator to a closure once so
-    the per-execution work is an indirect call, not a match.  Trap
-    behaviour (division by zero, float op in integer context) is
-    preserved inside the returned closure. *)
+(** Decode-time variants of the integer operators: resolve the
+    operator to a closure once so the per-execution work is an
+    indirect call, not a match.  Trap behaviour (division by zero,
+    float op in integer context) is preserved inside the returned
+    closure.  Float operators have none: a closure over floats boxes
+    its arguments and result, so the decoder specialises them
+    itself. *)
 
 val ibin_fn : Cards_ir.Instr.binop -> int -> int -> int
-val fbin_fn : Cards_ir.Instr.binop -> float -> float -> float
 val icmp_fn : Cards_ir.Instr.cmpop -> int -> int -> bool
-val fcmp_fn : Cards_ir.Instr.cmpop -> float -> float -> bool

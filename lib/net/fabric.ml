@@ -64,25 +64,29 @@ let unit_scale = { s_proto = 1.0; s_wire = 1.0 }
 (* Factor 1.0 short-circuits to the untouched integer: a unit-scaled
    call must be bit-identical to an unscaled one (the whatif identity
    scenario re-executes the baseline through this path and asserts
-   equality to the cycle). *)
-let scale_cycles f c =
+   equality to the cycle).  Inlined, so the factor read from a [scale]
+   is never boxed to be passed. *)
+let[@inline] scale_cycles f c =
   if f = 1.0 || c = 0 then c
   else max 0 (int_of_float ((float_of_int c *. f) +. 0.5))
 
+(* A request's outcome is written into the fabric's own two records
+   and handed back inside two preallocated results, so a fetch
+   allocates nothing; the caller reads it before the next request. *)
 type transfer = {
-  t_start : int;
-  t_queued : int;
-  t_complete : int;
-  t_qp : int;
-  t_proto : int;
-  t_ser : int;
-  t_fault : fault_kind option;
+  mutable t_start : int;
+  mutable t_queued : int;
+  mutable t_complete : int;
+  mutable t_qp : int;
+  mutable t_proto : int;
+  mutable t_ser : int;
+  mutable t_fault : fault_kind option;
 }
 
 type failure = {
-  f_start : int;
-  f_fail : int;
-  f_qp : int;
+  mutable f_start : int;
+  mutable f_fail : int;
+  mutable f_qp : int;
 }
 
 (* One record per wire-level request, emitted to the (optional) port
@@ -114,6 +118,10 @@ type t = {
   mutable last_in_now : int;      (* monotonicity guards per direction *)
   mutable last_out_now : int;
   mutable port : (port_event -> unit) option;
+  tr : transfer;                  (* the last request's outcome ... *)
+  ok : (transfer, failure) result;    (* ... as [Ok tr] *)
+  fl : failure;
+  err : (transfer, failure) result;   (* [Error fl] *)
   mutable fetches : int;
   mutable fetched_bytes : int;
   mutable batches : int;
@@ -136,6 +144,10 @@ let create cfg =
     invalid_arg "Fabric.create: qp_count must be at least 1";
   if cfg.faults.fault_rate < 0.0 || cfg.faults.fault_rate > 1.0 then
     invalid_arg "Fabric.create: fault_rate must be within [0, 1]";
+  let tr =
+    { t_start = 0; t_queued = 0; t_complete = 0; t_qp = 0; t_proto = 0;
+      t_ser = 0; t_fault = None }
+  and fl = { f_start = 0; f_fail = 0; f_qp = 0 } in
   { cfg;
     rng = Rng.create cfg.faults.fault_seed;
     fault_rate = cfg.faults.fault_rate;
@@ -144,6 +156,7 @@ let create cfg =
     out_busy_until = 0;
     last_in_now = 0; last_out_now = 0;
     port = None;
+    tr; ok = Ok tr; fl; err = Error fl;
     fetches = 0; fetched_bytes = 0; batches = 0; batched_objects = 0;
     writebacks = 0; written_bytes = 0; wb_batches = 0;
     queue_in_cycles = 0; queue_out_cycles = 0;
@@ -152,19 +165,24 @@ let create cfg =
 
 let set_port t p = t.port <- p
 
-let emit t ev = match t.port with None -> () | Some f -> f ev
+(* Port events are built only when an observer is installed. *)
+let emit_transfer t ~now ~count ~bytes =
+  match t.port with
+  | None -> ()
+  | Some f ->
+    let tr = t.tr in
+    f { pe_dir = `In; pe_issue = now; pe_start = tr.t_start;
+        pe_complete = tr.t_complete; pe_qp = tr.t_qp;
+        pe_count = count; pe_bytes = bytes; pe_ok = true }
 
-let emit_transfer t ~now ~count ~bytes (tr : transfer) =
-  emit t
-    { pe_dir = `In; pe_issue = now; pe_start = tr.t_start;
-      pe_complete = tr.t_complete; pe_qp = tr.t_qp;
-      pe_count = count; pe_bytes = bytes; pe_ok = true }
-
-let emit_failure t ~now ~count ~bytes (f : failure) =
-  emit t
-    { pe_dir = `In; pe_issue = now; pe_start = f.f_start;
-      pe_complete = f.f_fail; pe_qp = f.f_qp;
-      pe_count = count; pe_bytes = bytes; pe_ok = false }
+let emit_failure t ~now ~count ~bytes =
+  match t.port with
+  | None -> ()
+  | Some f ->
+    let fl = t.fl in
+    f { pe_dir = `In; pe_issue = now; pe_start = fl.f_start;
+        pe_complete = fl.f_fail; pe_qp = fl.f_qp;
+        pe_count = count; pe_bytes = bytes; pe_ok = false }
 
 let set_fault_rate t rate =
   if rate < 0.0 || rate > 1.0 then
@@ -238,6 +256,16 @@ let inbound_start t ~now qp =
   t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
   start
 
+let set_transfer t ~start ~now ~complete ~qp ~proto ~ser =
+  let tr = t.tr in
+  tr.t_start <- start;
+  tr.t_queued <- start - now;
+  tr.t_complete <- complete;
+  tr.t_qp <- qp;
+  tr.t_proto <- proto;
+  tr.t_ser <- ser;
+  tr.t_fault <- None
+
 (* The [_raw] layer does the queueing/accounting but emits no port
    event: the fault-injecting wrappers adjust the completion time
    after the fact (Late/Duplicate) and must emit the final record
@@ -254,9 +282,7 @@ let fetch_raw ~scale t ~now ~bytes =
   t.in_busy_until.(qp) <- start + proto + ser;
   t.fetches <- t.fetches + 1;
   t.fetched_bytes <- t.fetched_bytes + bytes;
-  { t_start = start; t_queued = start - now;
-    t_complete = start + proto + ser; t_qp = qp;
-    t_proto = proto; t_ser = ser; t_fault = None }
+  set_transfer t ~start ~now ~complete:(start + proto + ser) ~qp ~proto ~ser
 
 (* A transient failure crosses the wire and comes back as a NACK: the
    queue pair is held for the protocol turnaround, nothing lands, and
@@ -268,7 +294,9 @@ let transient_failure t ~scale ~now =
   t.in_busy_until.(qp) <- fail;
   t.faults_transient <- t.faults_transient + 1;
   t.failed_fetches <- t.failed_fetches + 1;
-  { f_start = start; f_fail = fail; f_qp = qp }
+  t.fl.f_start <- start;
+  t.fl.f_fail <- fail;
+  t.fl.f_qp <- qp
 
 (* A Late or Duplicate fault perturbs a request that did complete
    (fault-free and Transient attempts pass through untouched):
@@ -279,38 +307,42 @@ let transient_failure t ~scale ~now =
    - Duplicate: the data lands on time, but a duplicated completion
      occupies the queue pair for another protocol turn — timing-only:
      the caller deduplicates by construction (the object is marked
-     resident exactly once). *)
-let perturb t ~scale fault tr =
+     resident exactly once).
+   Applied in place to the transfer the raw layer just wrote. *)
+let perturb t ~scale fault =
+  let tr = t.tr in
   match fault with
   | Some Late ->
     let extra = late_extra t ~scale in
     t.faults_late <- t.faults_late + 1;
     t.in_busy_until.(tr.t_qp) <- tr.t_complete + extra;
-    { tr with t_complete = tr.t_complete + extra;
-              t_ser = tr.t_ser + extra; t_fault = Some Late }
+    tr.t_complete <- tr.t_complete + extra;
+    tr.t_ser <- tr.t_ser + extra;
+    tr.t_fault <- Some Late
   | Some Duplicate ->
     t.faults_dup <- t.faults_dup + 1;
     t.in_busy_until.(tr.t_qp)
       <- tr.t_complete + scale_cycles scale.s_proto t.cfg.proto_cycles;
-    { tr with t_fault = Some Duplicate }
-  | None | Some Transient -> tr
+    tr.t_fault <- Some Duplicate
+  | None | Some Transient -> ()
 
-let fetch_attempt ?(scale = unit_scale) t ~now ~bytes =
+let fetch_attempt t ~scale ~now ~bytes =
   match draw_fault t with
   | Some Transient ->
-    let f = transient_failure t ~scale ~now in
-    emit_failure t ~now ~count:1 ~bytes f;
-    Error f
+    transient_failure t ~scale ~now;
+    emit_failure t ~now ~count:1 ~bytes;
+    t.err
   | fault ->
-    let tr = perturb t ~scale fault (fetch_raw ~scale t ~now ~bytes) in
-    emit_transfer t ~now ~count:1 ~bytes tr;
-    Ok tr
+    fetch_raw ~scale t ~now ~bytes;
+    perturb t ~scale fault;
+    emit_transfer t ~now ~count:1 ~bytes;
+    t.ok
 
 (* Escalation path after retries are exhausted: a heavyweight reliable
    channel (think RC send with end-to-end acknowledgement instead of
    one-sided reads) that pays the protocol cost twice and never
    faults.  Guarantees forward progress at any fault rate. *)
-let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
+let fetch_reliable t ~scale ~now ~bytes =
   let qp = pick_qp t in
   let start = inbound_start t ~now qp in
   let ser = scale_cycles scale.s_wire (serialization t.cfg bytes) in
@@ -319,12 +351,9 @@ let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
   t.fetches <- t.fetches + 1;
   t.fetched_bytes <- t.fetched_bytes + bytes;
   t.reliable_fetches <- t.reliable_fetches + 1;
-  let tr =
-    { t_start = start; t_queued = start - now; t_complete = start + proto + ser;
-      t_qp = qp; t_proto = proto; t_ser = ser; t_fault = None }
-  in
-  emit_transfer t ~now ~count:1 ~bytes tr;
-  tr
+  set_transfer t ~start ~now ~complete:(start + proto + ser) ~qp ~proto ~ser;
+  emit_transfer t ~now ~count:1 ~bytes;
+  t.tr
 
 let fetch_many_raw ~scale t ~now ~sizes ~count:n ~completions =
   let qp = pick_qp t in
@@ -348,11 +377,9 @@ let fetch_many_raw ~scale t ~now ~sizes ~count:n ~completions =
   t.fetched_bytes <- t.fetched_bytes + !total;
   t.batches <- t.batches + 1;
   t.batched_objects <- t.batched_objects + n;
-  { t_start = start; t_queued = start - now;
-    t_complete = completions.(n - 1); t_qp = qp;
-    t_proto = proto; t_ser = !cum; t_fault = None }
+  set_transfer t ~start ~now ~complete:completions.(n - 1) ~qp ~proto ~ser:!cum
 
-let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes ~count ~completions =
+let fetch_many_attempt t ~scale ~now ~sizes ~count ~completions =
   if count < 1 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
   if count > Array.length sizes || count > Array.length completions then
     invalid_arg "Fabric.fetch_many_attempt: count exceeds the arrays";
@@ -363,21 +390,22 @@ let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes ~count ~completions =
   let bytes = !bytes in
   match draw_fault t with
   | Some Transient ->
-    let f = transient_failure t ~scale ~now in
-    emit_failure t ~now ~count ~bytes f;
-    Error f
+    transient_failure t ~scale ~now;
+    emit_failure t ~now ~count ~bytes;
+    t.err
   | fault ->
-    let raw = fetch_many_raw ~scale t ~now ~sizes ~count ~completions in
-    let tr = perturb t ~scale fault raw in
+    fetch_many_raw ~scale t ~now ~sizes ~count ~completions;
+    let raw_complete = t.tr.t_complete in
+    perturb t ~scale fault;
     (* A late response stream delays every object in the batch by the
        same congestion term. *)
-    let extra = tr.t_complete - raw.t_complete in
+    let extra = t.tr.t_complete - raw_complete in
     if extra <> 0 then
       for i = 0 to count - 1 do
         completions.(i) <- completions.(i) + extra
       done;
-    emit_transfer t ~now ~count ~bytes tr;
-    Ok tr
+    emit_transfer t ~now ~count ~bytes;
+    t.ok
 
 (* Writeback faults never reach the caller: posted writes are
    asynchronous, so the fabric absorbs the fault by re-posting (or
@@ -398,10 +426,12 @@ let wb_fault_extra t =
    occupied for the full protocol + serialization time — the same cost
    structure as a fetch, just asynchronous (DESIGN.md §fabric). *)
 let emit_writeback t ~now ~start ~count ~bytes =
-  emit t
-    { pe_dir = `Out; pe_issue = now; pe_start = start;
-      pe_complete = t.out_busy_until; pe_qp = -1;
-      pe_count = count; pe_bytes = bytes; pe_ok = true }
+  match t.port with
+  | None -> ()
+  | Some f ->
+    f { pe_dir = `Out; pe_issue = now; pe_start = start;
+        pe_complete = t.out_busy_until; pe_qp = -1;
+        pe_count = count; pe_bytes = bytes; pe_ok = true }
 
 let writeback t ~now ~bytes =
   check_out_now t now;

@@ -105,25 +105,34 @@ val set_fault_rate : t -> float -> unit
 val faults_configured : t -> bool
 (** True when the fabric was created with a non-zero fault rate. *)
 
-type transfer = {
-  t_start : int;     (** when a queue pair picked the transfer up *)
-  t_queued : int;    (** [t_start - now]: cycles spent waiting in line *)
-  t_complete : int;  (** completion time (of the last object for batches) *)
-  t_qp : int;        (** the queue pair that carried it *)
-  t_proto : int;     (** per-request protocol cycles this transfer paid *)
-  t_ser : int;       (** serialization cycles (summed over a batch; a
-                         late fault's congestion delay rides here so the
-                         queued/proto/ser split still covers the stall) *)
-  t_fault : fault_kind option;
+type transfer = private {
+  mutable t_start : int;  (** when a queue pair picked the transfer up *)
+  mutable t_queued : int; (** [t_start - now]: cycles spent waiting in line *)
+  mutable t_complete : int;
+      (** completion time (of the last object for batches) *)
+  mutable t_qp : int;     (** the queue pair that carried it *)
+  mutable t_proto : int;  (** per-request protocol cycles this transfer paid *)
+  mutable t_ser : int;
+      (** serialization cycles (summed over a batch; a late fault's
+          congestion delay rides here so the queued/proto/ser split
+          still covers the stall) *)
+  mutable t_fault : fault_kind option;
       (** the fault injected into this (completed) transfer, if any *)
 }
+(** A completed request.  Every fabric owns exactly one, and each
+    request overwrites it, so a fetch allocates nothing: read what you
+    need before the next request on the same fabric. *)
 
-type failure = {
-  f_start : int;  (** when the queue pair picked the doomed attempt up *)
-  f_fail : int;   (** when the NACK came back ([f_start + proto]); the
-                      QP is occupied until then *)
-  f_qp : int;     (** the queue pair it burned *)
+type failure = private {
+  mutable f_start : int;
+      (** when the queue pair picked the doomed attempt up *)
+  mutable f_fail : int;
+      (** when the NACK came back ([f_start + proto]); the QP is occupied
+          until then *)
+  mutable f_qp : int;  (** the queue pair it burned *)
 }
+(** A NACKed request: the fabric's one failure record, overwritten by
+    the next failed request, like {!transfer}. *)
 
 type port_event = {
   pe_dir : [ `In | `Out ];  (** fetch side or (posted) writeback side *)
@@ -151,14 +160,16 @@ val set_port : t -> (port_event -> unit) option -> unit
     [None] (the default) is bit-identical to any installed observer. *)
 
 val fetch_attempt :
-  ?scale:scale -> t -> now:int -> bytes:int -> (transfer, failure) result
+  t -> scale:scale -> now:int -> bytes:int -> (transfer, failure) result
 (** Schedule an inbound transfer of [bytes] issued at [now] on the
     least-loaded queue pair.  [Ok] carries the completion time and its
     queue/protocol/serialization split
     ([t_queued + t_proto + t_ser = t_complete - now]), which the
     runtime's stall-attribution ledger charges as separate root
-    causes.  [scale] (default {!unit_scale}) multiplies the protocol
-    and wire terms for this call.
+    causes.  [scale] multiplies the protocol and wire terms for this
+    call ({!unit_scale} leaves them untouched).  The result is one of
+    two values the fabric preallocated, wrapping its own {!transfer}
+    or {!failure} record.
 
     One fault decision is drawn per attempt.  [Error] is a transient
     failure (retry at a later [now] if desired); [Ok] transfers may
@@ -171,7 +182,7 @@ val fetch_attempt :
     backwards rather than corrupting queue state. *)
 
 val fetch_many_attempt :
-  ?scale:scale -> t -> now:int -> sizes:int array -> count:int ->
+  t -> scale:scale -> now:int -> sizes:int array -> count:int ->
   completions:int array -> (transfer, failure) result
 (** Coalesce a batch of objects — the first [count] entries of [sizes]
     — into one request on the least-loaded queue pair.  The protocol
@@ -188,7 +199,7 @@ val fetch_many_attempt :
     @raise Invalid_argument on an empty batch, a [count] beyond either
     array, or a backwards [now]. *)
 
-val fetch_reliable : ?scale:scale -> t -> now:int -> bytes:int -> transfer
+val fetch_reliable : t -> scale:scale -> now:int -> bytes:int -> transfer
 (** The escalation path for a fetch whose retries are exhausted: a
     heavyweight reliable channel (send with end-to-end acknowledgement
     rather than a one-sided read) paying [2 * proto_cycles] plus

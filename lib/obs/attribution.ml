@@ -64,18 +64,21 @@ type cell = {
 
 type t = {
   cells : (int * site, cell) Hashtbl.t;
-  (* Direct-mapped memo in front of [cells]: a run's charges come from
-     a handful of (ds, site) keys, but consecutive ones alternate
-     between them (a loop's guards at two or three sites), so one
-     remembered cell would keep missing.  A hit costs a slot index,
-     three int compares and a pointer compare, and allocates nothing;
-     a miss (a new key, a slot collision, or a name that is equal but
-     not the same string) goes to the table and takes the slot over. *)
+  (* Two-way set-associative memo in front of [cells]: a run's charges
+     come from a handful of (ds, site) keys, but consecutive ones
+     alternate between them (a loop's guards at two or three sites), so
+     one remembered cell would keep missing.  A hit costs a set index,
+     three int compares and a pointer compare per way, and allocates
+     nothing.  A miss (a new key, a set already holding two other keys,
+     or a name that is equal but not the same string) goes to the table,
+     which allocates its key: the new cell takes the set's first way and
+     the first way's cell moves to the second, so two hot keys that
+     share a set both stay (one way each would thrash). *)
   memo : cell array;
   mutable qp_max : int; (* highest QP index ever charged, -1 if none *)
 }
 
-let memo_slots = 256 (* a power of two *)
+let memo_slots = 512 (* a power of two: 256 sets of two ways *)
 
 let make_cell ds site =
   { cl_ds = ds; cl_site = site; cl_proto = 0; cl_wire = 0;
@@ -89,29 +92,39 @@ let vacant = make_cell (-1) { unknown_site with s_fn = String.make 1 '-' }
 let create () =
   { cells = Hashtbl.create 64; memo = Array.make memo_slots vacant; qp_max = -1 }
 
-let memo_slot ~ds ~fn ~block ~instr =
-  (((((block * 31) + instr) * 31) + ds) * 31 + String.length fn)
-  land (memo_slots - 1)
+(* The first (even) slot of a key's set.  The multiply spreads the
+   small, regular components (block and instruction indices, handles)
+   over the index bits. *)
+let memo_set ~ds ~fn ~block ~instr =
+  let h = (((((block * 31) + instr) * 31) + ds) * 31) + String.length fn in
+  ((h * 0x9E3779B1) lsr 16) land (memo_slots - 2)
+
+let memo_hit c ~ds ~fn ~block ~instr =
+  c.cl_ds = ds && c.cl_site.s_block = block && c.cl_site.s_instr = instr
+  && c.cl_site.s_fn == fn
 
 let cell t ~ds ~fn ~block ~instr =
-  let slot = memo_slot ~ds ~fn ~block ~instr in
-  let c = t.memo.(slot) in
-  if c.cl_ds = ds && c.cl_site.s_block = block && c.cl_site.s_instr = instr
-     && c.cl_site.s_fn == fn
-  then c
+  let s = memo_set ~ds ~fn ~block ~instr in
+  let c0 = t.memo.(s) in
+  if memo_hit c0 ~ds ~fn ~block ~instr then c0
   else begin
-    let site = { s_fn = fn; s_block = block; s_instr = instr } in
-    let key = (ds, site) in
-    let c =
-      match Hashtbl.find_opt t.cells key with
-      | Some c -> c
-      | None ->
-        let c = make_cell ds site in
-        Hashtbl.replace t.cells key c;
-        c
-    in
-    t.memo.(slot) <- c;
-    c
+    let c1 = t.memo.(s + 1) in
+    if memo_hit c1 ~ds ~fn ~block ~instr then c1
+    else begin
+      let site = { s_fn = fn; s_block = block; s_instr = instr } in
+      let key = (ds, site) in
+      let c =
+        match Hashtbl.find_opt t.cells key with
+        | Some c -> c
+        | None ->
+          let c = make_cell ds site in
+          Hashtbl.replace t.cells key c;
+          c
+      in
+      t.memo.(s + 1) <- c0;
+      t.memo.(s) <- c;
+      c
+    end
   end
 
 let grow_queue c qp =

@@ -66,7 +66,7 @@ val charge :
   t -> ds:int -> fn:string -> block:int -> instr:int -> cause -> int -> unit
 (** Charge [cycles] to one cause at one (structure, site) key.  The
     site is passed as components so the hot path does not allocate: a
-    direct-mapped memo of recently charged keys answers a repeat
+    two-way set-associative memo of recently charged keys answers a repeat
     charge without touching the table, provided [fn] is the very
     string passed before (the interpreter passes each function's
     name string, so it is).  Equal but distinct strings still land in

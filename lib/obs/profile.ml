@@ -71,7 +71,7 @@ let attributed t =
   List.fold_left (fun acc h -> acc + wall (buckets t h)) t.p_compute
     (handles t)
 
-let record_latency d c = Stats.add d.lat (float_of_int c)
+let record_latency d c = Stats.add_int d.lat c
 
 let add_hidden d c = d.hidden <- d.hidden + c
 

@@ -142,24 +142,30 @@ let of_class cls ~depth =
        full remote fetch. *)
     Some (jump ~jump:8 ~depth:(4 * depth))
 
-(* Majority vote over the delta window. *)
+(* Majority vote over the delta window: the delta held by more than
+   half of it, 0 when none is.  Boyer-Moore's vote finds the only
+   possible candidate in one pass and a second pass counts it — linear
+   in the window, where counting every delta against every other was
+   quadratic on every access of a stride structure. *)
 let majority_delta st =
   let n = st.n_deltas in
   if n < 4 then 0
   else begin
-    let best = ref 0 and best_count = ref 0 in
+    let cand = ref 0 and votes = ref 0 in
     for i = 0 to n - 1 do
       let d = st.deltas.(i) in
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        if st.deltas.(j) = d then incr c
-      done;
-      if !c > !best_count then begin
-        best := d;
-        best_count := !c
+      if !votes = 0 then begin
+        cand := d;
+        votes := 1
       end
+      else if d = !cand then incr votes
+      else decr votes
     done;
-    if 2 * !best_count > n && !best <> 0 then !best else 0
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      if st.deltas.(i) = !cand then incr count
+    done;
+    if 2 * !count > n then !cand else 0
   end
 
 let jump_find st o = if o < Array.length st.table then st.table.(o) else -1

@@ -230,6 +230,9 @@ type t = {
   mutable site_block : int;
   mutable site_instr : int;
   occ : occasion;
+  queue_causes : Attribution.cause array;
+      (* [Queue qp] for each inbound queue pair, built once so a demand
+         fetch charges its queueing without allocating the cause *)
   (* Causal span layer.  [spans] is the sink's collector, cached so
      every hook is one [match] on an immutable field — [None] means
      spans are off and the hook is a no-op costing one branch, which
@@ -314,6 +317,9 @@ let create ?(obs = Sink.null) cfg infos =
     occ =
       { o_first = -1; o_qp = -1; o_queued = 0; o_proto = 0; o_wire = 0;
         o_retry = 0; o_pf_wait = 0; o_trap = 0 };
+    queue_causes =
+      Array.init cfg.fabric_config.Fabric.qp_count (fun qp ->
+          Attribution.Queue qp);
     spans = Sink.spans obs;
     cur_span = -1 }
 
@@ -531,9 +537,14 @@ let grow_objs (d : ds) nobjs =
     d.arrivals <- na
   end
 
+(* A loop, not a local recursive function: that closure would be
+   allocated on every allocation. *)
 let pow2_ceil x =
-  let rec go p = if p >= x then p else go (p * 2) in
-  go 8
+  let p = ref 8 in
+  while !p < x do
+    p := !p * 2
+  done;
+  !p
 
 let align_up x a = (x + a - 1) land lnot (a - 1)
 
@@ -798,26 +809,29 @@ let effective_prefetch_limit t (d : ds) =
 
 (* ---------- stall occasions ---------- *)
 
+(* [root] of an occasion outside a demand-fetch chain. *)
+let unchained = -2
+
 (* Close the open occasion as one [kind] of stall on [obj] of [d]:
    read and reset the phases [stall] accumulated since the last close
    and write every view of them — the span (when sampled), the trace
    event, the latency sample and the per-structure counter.  Returns
    the span id, -1 when none was recorded.
 
-   An occasion starts at its first charge; a demand fetch passes
-   [issued] instead (its start, before any failed attempt) and closes
-   in pieces, each [Retry] and then the completion.  Its [root] span
-   id (-1 = unsampled) was allocated when the fetch began, so the
-   chain is recorded or skipped whole: the completion records as
-   [root], each retry as a fresh child of it.  Other occasions are
-   sampled here.  [parent] is a clean-fault fetch's trap span;
-   settles and hits take their prefetch parent from the in-flight
-   registry. *)
-let close_occasion t (d : ds) obj kind ?root ?(parent = -1) ?issued ?fault
-    () =
+   An occasion starts at its first charge ([issued] = -1); a demand
+   fetch passes [issued] instead (its start, before any failed attempt)
+   and closes in pieces, each [Retry] and then the completion.  Its
+   [root] span id (-1 = unsampled) was allocated when the fetch began,
+   so the chain is recorded or skipped whole: the completion records as
+   [root], each retry as a fresh child of it.  Other occasions pass
+   [root = unchained] and are sampled here.  [parent] is a clean-fault
+   fetch's trap span (-1 = none); settles and hits take their prefetch
+   parent from the in-flight registry.  Every argument is an immediate,
+   so closing an occasion allocates nothing while spans are off. *)
+let close_occasion t (d : ds) obj kind ~root ~parent ~issued ~fault =
   let o = t.occ in
   let first = if o.o_first >= 0 then o.o_first else t.clock in
-  let issued = Option.value issued ~default:first in
+  let issued = if issued >= 0 then issued else first in
   let stalled = t.clock - issued in
   (match kind with
    | Span.Demand | Span.Escalated ->
@@ -841,16 +855,16 @@ let close_occasion t (d : ds) obj kind ?root ?(parent = -1) ?issued ?fault
     | None -> -1
     | Some c ->
       let id, parent =
-        match (root, kind) with
-        | Some r, Span.Retry ->
-          if r >= 0 && o.o_retry > 0 then (Span.fresh c, r) else (-1, -1)
-        | Some r, _ -> (r, parent)
-        | None, (Span.Pf_settle | Span.Pf_hit) ->
+        match kind with
+        | Span.Retry when root <> unchained ->
+          if root >= 0 && o.o_retry > 0 then (Span.fresh c, root) else (-1, -1)
+        | _ when root <> unchained -> (root, parent)
+        | Span.Pf_settle | Span.Pf_hit ->
           if Span.sampled c then
             let p = Span.take_inflight c ~ds:d.handle ~obj in
             (Span.fresh c, p)
           else (-1, -1)
-        | None, _ -> if Span.sampled c then (Span.fresh c, parent) else (-1, -1)
+        | _ -> if Span.sampled c then (Span.fresh c, parent) else (-1, -1)
       in
       if id >= 0 then begin
         let edge =
@@ -884,6 +898,11 @@ let close_occasion t (d : ds) obj kind ?root ?(parent = -1) ?issued ?fault
   o.o_pf_wait <- 0;
   o.o_trap <- 0;
   id
+
+(* An occasion outside any demand-fetch chain. *)
+let close t d obj kind =
+  close_occasion t d obj kind ~root:unchained ~parent:(-1) ~issued:(-1)
+    ~fault:None
 
 (* The one constructor for fabric-occupancy spans, built from the
    transfer that carried them.  A standalone prefetch or a batch takes
@@ -1140,109 +1159,119 @@ let settle_inflight t (d : ds) o =
     d.objs.(o) <- st land lnot b_inflight;
     if wait > 0 then begin
       stall t ~ds:d.handle Attribution.Pf_wait wait;
-      ignore (close_occasion t d o Span.Pf_settle ());
+      ignore (close t d o Span.Pf_settle);
       false
     end
     else true
   end
   else true
 
-(* [span_parent >= 0] names the trap span whose handler issued this
-   fetch (the clean-fault path); the completion span then carries an
-   [E_trap] edge. *)
-let demand_fetch ?(span_parent = -1) t (d : ds) o =
-  let start = t.clock in
+(* ---------- the demand fetch ---------- *)
+
+(* A demand fetch of object [o] of [d] runs as the top-level functions
+   below, never as closures, so a remote fault allocates nothing.
+   [start] is the clock when the fetch began, [root] its span id (see
+   [demand_fetch]) and [parent] the trap span whose handler issued it
+   (-1 = none): the completion span then carries an [E_trap] edge. *)
+
+(* Cycles burned off the happy path — NACK turnarounds, abandoned late
+   completions, backoff waits — are real CPU stall and land in their
+   own ledger cause, so the exactness invariants keep holding under
+   any fault rate. *)
+let retry_stall t (d : ds) c =
+  if c > 0 then stall t ~ds:d.handle Attribution.Retry c
+
+(* The attempt that delivered the data, issued at the current clock:
+   its queued + proto + ser split adds up to the fabric's
+   [t_complete - now] exactly, and address-to-object mapping rides with
+   the protocol overhead.  Latency is end-to-end: failed attempts and
+   backoffs included. *)
+let finish_fetch t (d : ds) o kind ~start ~root ~parent (tr : Fabric.transfer) =
+  stall t ~ds:d.handle t.queue_causes.(tr.Fabric.t_qp) tr.Fabric.t_queued;
+  stall t ~ds:d.handle Attribution.Proto
+    (tr.Fabric.t_proto + t.cfg.cost.deref_map);
+  stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
+  ignore
+    (close_occasion t d o kind ~root ~parent ~issued:start
+       ~fault:tr.Fabric.t_fault);
+  d.objs.(o) <- d.objs.(o) lor b_resident;
+  d.epoch_faults <- d.epoch_faults + 1;
+  emit_qp_busy t ~ds:d.handle ~obj:o tr;
+  clock_insert t d o
+
+let rec demand_attempt t (d : ds) o ~start ~root ~parent n =
   let osz = obj_size d in
-  (* One sampling decision covers the whole occasion — the completion
-     span and every retry child — so chains are never half-recorded.
-     The root id is allocated up front: retry spans complete (and are
-     added) before the fetch they delayed, but must point forward at
-     it, and parent < child keeps the edge relation acyclic. *)
-  let root =
-    match t.spans with Some c when Span.sampled c -> Span.fresh c | _ -> -1
-  in
-  (* Cycles burned off the happy path — NACK turnarounds, abandoned
-     late completions, backoff waits — are real CPU stall and land in
-     their own ledger cause, so the exactness invariants keep holding
-     under any fault rate. *)
-  let retry_stall c = if c > 0 then stall t ~ds:d.handle Attribution.Retry c in
-  (* The attempt that delivered the data, issued at the current
-     clock: its queued + proto + ser split adds up to the fabric's
-     [t_complete - now] exactly, and address-to-object mapping rides
-     with the protocol overhead.  Latency is end-to-end: failed
-     attempts and backoffs included. *)
-  let finish kind (tr : Fabric.transfer) =
-    stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) tr.Fabric.t_queued;
-    stall t ~ds:d.handle Attribution.Proto
-      (tr.Fabric.t_proto + t.cfg.cost.deref_map);
-    stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
-    ignore
-      (close_occasion t d o kind ~root ~parent:span_parent ~issued:start
-         ?fault:tr.Fabric.t_fault ());
-    d.objs.(o) <- d.objs.(o) lor b_resident;
-    d.epoch_faults <- d.epoch_faults + 1;
-    emit_qp_busy t ~ds:d.handle ~obj:o tr;
-    clock_insert t d o
-  in
-  let rec attempt n =
-    match Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz with
-    | Error f ->
-      (* The CPU waited for the NACK: queueing + protocol turnaround. *)
-      retry_stall (f.Fabric.f_fail - t.clock);
-      note_transfer t ~ds:d.handle ~obj:o (Some Fabric.Transient);
-      backoff n Fabric.Transient
-    | Ok tr -> (
-      (* The fabric counted this transfer's bytes the moment it
-         completed [Ok] — even a late completion we abandon below
-         still crossed the wire — so the per-structure mirror bumps
-         here, not in [finish]. *)
-      d.st.fetched_bytes <- d.st.fetched_bytes + osz;
-      match tr.Fabric.t_fault with
-      | Some Fabric.Late as fault
-        when n < t.cfg.retry_max
-             && tr.Fabric.t_complete - t.clock > t.cfg.fetch_timeout_cycles ->
-        (* The congested completion blew the per-fetch budget: give up
-           on it after [fetch_timeout_cycles] and re-issue.  Only
-           late-faulted attempts can time out — legitimate queueing
-           never trips this, so a healthy loaded fabric cannot start a
-           retry storm. *)
-        note_transfer t ~ds:d.handle ~obj:o fault;
-        Rt_stats.note_timeout t.stats;
-        if Sink.tracing t.obs then
-          Sink.emit t.obs
-            (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
-               (Event.Fetch_timeout { budget = t.cfg.fetch_timeout_cycles }));
-        retry_stall t.cfg.fetch_timeout_cycles;
-        backoff n Fabric.Late
-      | fault ->
-        note_transfer t ~ds:d.handle ~obj:o fault;
-        finish Span.Demand tr)
-  (* Each failed attempt closes as one Retry occasion: its NACK
-     turnaround or timeout budget plus the backoff wait. *)
-  and backoff n fault =
-    if n >= t.cfg.retry_max then begin
-      (* Retries exhausted: the reliable channel cannot fault, so
-         forward progress is guaranteed at any fault rate. *)
-      Rt_stats.note_escalation t.stats;
-      ignore (close_occasion t d o Span.Retry ~root ~fault ());
-      d.st.fetched_bytes <- d.st.fetched_bytes + osz;
-      finish Span.Escalated
-        (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz);
-      maybe_postmortem t ~reason:"demand fetch escalated to the reliable channel"
-    end
-    else begin
-      let wait = t.cfg.retry_backoff_cycles lsl min n 6 in
-      Rt_stats.note_retry t.stats;
+  match Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz with
+  | Error f ->
+    (* The CPU waited for the NACK: queueing + protocol turnaround. *)
+    retry_stall t d (f.Fabric.f_fail - t.clock);
+    note_transfer t ~ds:d.handle ~obj:o (Some Fabric.Transient);
+    backoff t d o ~start ~root ~parent n (Some Fabric.Transient)
+  | Ok tr -> (
+    (* The fabric counted this transfer's bytes the moment it
+       completed [Ok] — even a late completion we abandon below still
+       crossed the wire — so the per-structure mirror bumps here, not
+       in [finish_fetch]. *)
+    d.st.fetched_bytes <- d.st.fetched_bytes + osz;
+    match tr.Fabric.t_fault with
+    | Some Fabric.Late as fault
+      when n < t.cfg.retry_max
+           && tr.Fabric.t_complete - t.clock > t.cfg.fetch_timeout_cycles ->
+      (* The congested completion blew the per-fetch budget: give up on
+         it after [fetch_timeout_cycles] and re-issue.  Only
+         late-faulted attempts can time out — legitimate queueing never
+         trips this, so a healthy loaded fabric cannot start a retry
+         storm. *)
+      note_transfer t ~ds:d.handle ~obj:o fault;
+      Rt_stats.note_timeout t.stats;
       if Sink.tracing t.obs then
         Sink.emit t.obs
           (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
-             (Event.Retry_backoff { attempt = n + 1; wait }));
-      retry_stall wait;
-      ignore (close_occasion t d o Span.Retry ~root ~fault ());
-      attempt (n + 1)
-    end
+             (Event.Fetch_timeout { budget = t.cfg.fetch_timeout_cycles }));
+      retry_stall t d t.cfg.fetch_timeout_cycles;
+      backoff t d o ~start ~root ~parent n fault
+    | fault ->
+      note_transfer t ~ds:d.handle ~obj:o fault;
+      finish_fetch t d o Span.Demand ~start ~root ~parent tr)
+
+(* Each failed attempt closes as one Retry occasion: its NACK
+   turnaround or timeout budget plus the backoff wait. *)
+and backoff t (d : ds) o ~start ~root ~parent n fault =
+  if n >= t.cfg.retry_max then begin
+    (* Retries exhausted: the reliable channel cannot fault, so forward
+       progress is guaranteed at any fault rate. *)
+    let osz = obj_size d in
+    Rt_stats.note_escalation t.stats;
+    ignore
+      (close_occasion t d o Span.Retry ~root ~parent:(-1) ~issued:(-1) ~fault);
+    d.st.fetched_bytes <- d.st.fetched_bytes + osz;
+    finish_fetch t d o Span.Escalated ~start ~root ~parent
+      (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz);
+    maybe_postmortem t ~reason:"demand fetch escalated to the reliable channel"
+  end
+  else begin
+    let wait = t.cfg.retry_backoff_cycles lsl min n 6 in
+    Rt_stats.note_retry t.stats;
+    if Sink.tracing t.obs then
+      Sink.emit t.obs
+        (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
+           (Event.Retry_backoff { attempt = n + 1; wait }));
+    retry_stall t d wait;
+    ignore
+      (close_occasion t d o Span.Retry ~root ~parent:(-1) ~issued:(-1) ~fault);
+    demand_attempt t d o ~start ~root ~parent (n + 1)
+  end
+
+(* One sampling decision covers the whole occasion — the completion
+   span and every retry child — so chains are never half-recorded.  The
+   root id is allocated up front: retry spans complete (and are added)
+   before the fetch they delayed, but must point forward at it, and
+   parent < child keeps the edge relation acyclic. *)
+let demand_fetch t (d : ds) o ~span_parent =
+  let root =
+    match t.spans with Some c when Span.sampled c -> Span.fresh c | _ -> -1
   in
-  attempt 0
+  demand_attempt t d o ~start:t.clock ~root ~parent:span_parent 0
 
 let note_prefetch_hit t (d : ds) o ~timely =
   let st = d.objs.(o) in
@@ -1264,7 +1293,7 @@ let note_prefetch_hit t (d : ds) o ~timely =
       (* Zero-stall use: an empty occasion, recorded purely for the
          causal chain (the prefetch paid off).  A *late* use settles
          above instead and its mapping was already consumed there. *)
-      ignore (close_occasion t d o Span.Pf_hit ())
+      ignore (close t d o Span.Pf_hit)
     end;
     if Sink.tracing t.obs then
       Sink.emit t.obs
@@ -1312,7 +1341,7 @@ let guard t ~write addr =
         if Sink.tracing t.obs then
           Sink.emit t.obs
             (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o Event.Guard_miss);
-        demand_fetch t d o;
+        demand_fetch t d o ~span_parent:(-1);
         true
       end
     in
@@ -1328,11 +1357,10 @@ let loop_check t addrs =
      A tagged base could lose residency mid-loop, so it forces the
      instrumented version. *)
   let ok = ref true in
-  List.iter
-    (fun addr ->
-      stall t ~ds:0 Attribution.Bookkeeping t.cfg.cost.loop_check_per_ds;
-      if Addr.is_managed addr then ok := false)
-    addrs;
+  for i = 0 to Array.length addrs - 1 do
+    stall t ~ds:0 Attribution.Bookkeeping t.cfg.cost.loop_check_per_ds;
+    if Addr.is_managed addrs.(i) then ok := false
+  done;
   if Sink.tracing t.obs then
     Sink.emit t.obs
       (Event.make ~cycle:t.clock ~ds:0 ~obj:0 (Event.Loop_version { clean = !ok }));
@@ -1352,10 +1380,10 @@ let clean_fault t (d : ds) o ~write =
   (* The trap closes as its own occasion; the nested demand fetch (if
      any) becomes its child via [E_trap], with the trap id allocated
      first so parent < child holds. *)
-  let trap_sp = close_occasion t d o Span.Trap () in
+  let trap_sp = close t d o Span.Trap in
   ignore (settle_inflight t d o);
   if d.objs.(o) land b_resident = 0 then
-    demand_fetch ~span_parent:trap_sp t d o;
+    demand_fetch t d o ~span_parent:trap_sp;
   (* The span covers trap + settle + fetch; a nested [Remote_fault]
      span appears inside it when the object had to be demand-fetched. *)
   if Sink.tracing t.obs then
@@ -1496,13 +1524,7 @@ let write_i64_fast t addr v =
   let off = access_off t addr ~write:true in
   Bytes.set_int64_le t.acc_data off (Int64.of_int v)
 
-let read_f64_fast t addr =
-  let off = access_off t addr ~write:false in
-  Int64.float_of_bits (Bytes.get_int64_le t.acc_data off)
-
-let write_f64_fast t addr v =
-  let off = access_off t addr ~write:true in
-  Bytes.set_int64_le t.acc_data off (Int64.bits_of_float v)
+let acc_data t = t.acc_data
 
 (* ---------- introspection ---------- *)
 

@@ -139,9 +139,10 @@ val free : t -> int -> unit
 val guard : t -> write:bool -> int -> unit
 (** The [cards_deref] guard: localize the object behind the address. *)
 
-val loop_check : t -> int list -> bool
+val loop_check : t -> int array -> bool
 (** Code-versioning check: true iff every base address' structure is
-    currently pinned (fully local, cannot be evicted mid-loop). *)
+    currently pinned (fully local, cannot be evicted mid-loop).  Reads
+    the array only during the call, so a caller may reuse it. *)
 
 (** {2 Data accesses (the heap)} *)
 
@@ -152,8 +153,6 @@ val write_f64 : t -> int -> float -> unit
 
 val read_i64_fast : t -> int -> int
 val write_i64_fast : t -> int -> int -> unit
-val read_f64_fast : t -> int -> float
-val write_f64_fast : t -> int -> float -> unit
 (** Accounting-identical fast-path variants used by the pre-decoded
     execution engine.  A resident local access resolves its structure
     through a small direct-mapped handle translation cache and costs
@@ -162,6 +161,14 @@ val write_f64_fast : t -> int -> float -> unit
     functions above before touching any counter, so simulated cycles,
     stats and attribution are bit-identical whichever path is taken.
     A resident hit allocates nothing. *)
+
+val access_off : t -> int -> write:bool -> int
+val acc_data : t -> Bytes.t
+(** The same fast path, split so a float access crosses no module
+    boundary as a boxed float: [access_off t addr ~write] performs the
+    access's accounting and returns its byte offset into [acc_data t],
+    which holds the 8 bytes until the next runtime call.  The decoded
+    engine reads and writes the bytes itself. *)
 
 val alloc_unmanaged : t -> size:int -> int
 (** Reserve unmanaged storage (globals segment). *)

@@ -15,24 +15,33 @@ let subs = 1 lsl sub_bits (* sub-buckets per octave: relative width 1/32 *)
 let octaves = 60 (* covers magnitudes up to 2^60 — beyond any cycle count *)
 let buckets = 1 + (octaves * subs) (* bucket 0: everything below 1.0 *)
 
-type t = {
-  mutable n : int;
+(* The float accumulators live in their own all-float record, which
+   OCaml stores flat: writing a field stores the raw double.  As fields
+   of [t] next to the int count, every write would box its value. *)
+type acc = {
   mutable mean_acc : float;
   mutable m2 : float;
   mutable total : float;
   mutable lo : float;
   mutable hi : float;
+}
+
+type t = {
+  mutable n : int;
+  f : acc;
   hist : int array;
 }
 
 let create () =
-  { n = 0; mean_acc = 0.0; m2 = 0.0; total = 0.0;
-    lo = infinity; hi = neg_infinity; hist = Array.make buckets 0 }
+  { n = 0;
+    f = { mean_acc = 0.0; m2 = 0.0; total = 0.0;
+          lo = infinity; hi = neg_infinity };
+    hist = Array.make buckets 0 }
 
 (* Index of the sub-bucket holding [x].  Values below 1.0 (including
    negatives) share bucket 0: the histogram's precision contract is
    for magnitudes >= 1, which cycle counts always are. *)
-let bucket_of x =
+let[@inline] bucket_of x =
   if x < 1.0 || Float.is_nan x then 0
   else begin
     let e = Stdlib.min (octaves - 1) (int_of_float (Float.log2 x)) in
@@ -53,24 +62,29 @@ let bucket_mid i =
     base +. (width *. (float_of_int sub +. 0.5))
   end
 
-let add t x =
+let[@inline] add t x =
+  let f = t.f in
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  let delta = x -. t.mean_acc in
-  t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
+  f.total <- f.total +. x;
+  let delta = x -. f.mean_acc in
+  f.mean_acc <- f.mean_acc +. (delta /. float_of_int t.n);
+  f.m2 <- f.m2 +. (delta *. (x -. f.mean_acc));
+  if x < f.lo then f.lo <- x;
+  if x > f.hi then f.hi <- x;
   let b = bucket_of x in
   t.hist.(b) <- t.hist.(b) + 1
 
+(* The int entry point converts inside the module, so a caller in
+   another module passes no boxed float. *)
+let add_int t c = add t (float_of_int c)
+
 let count t = t.n
-let sum t = t.total
-let mean t = if t.n = 0 then 0.0 else t.mean_acc
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
+let sum t = t.f.total
+let mean t = if t.n = 0 then 0.0 else t.f.mean_acc
+let variance t = if t.n < 2 then 0.0 else t.f.m2 /. float_of_int t.n
 let stddev t = sqrt (variance t)
-let min t = t.lo
-let max t = t.hi
+let min t = t.f.lo
+let max t = t.f.hi
 
 let percentile t p =
   (* NaN p used to slip through the rank arithmetic (int_of_float nan
@@ -79,8 +93,8 @@ let percentile t p =
   if Float.is_nan p || p < 0.0 || p > 100.0 then
     invalid_arg (Printf.sprintf "Stats.percentile: p = %g not in [0,100]" p);
   if t.n = 0 then 0.0
-  else if p = 0.0 then t.lo
-  else if p = 100.0 then t.hi
+  else if p = 0.0 then t.f.lo
+  else if p = 100.0 then t.f.hi
   else begin
     let rank =
       let r = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
@@ -94,13 +108,17 @@ let percentile t p =
     let v = bucket_mid (!i - 1) in
     (* Clamp to the exact extremes: p100 is exactly [max], and a
        one-sample histogram answers that sample's bucket range. *)
-    Float.min t.hi (Float.max t.lo v)
+    Float.min t.f.hi (Float.max t.f.lo v)
   end
 
 let median t = percentile t 50.0
 
 let copy a =
-  { a with hist = Array.copy a.hist }
+  let f = a.f in
+  { n = a.n;
+    f = { mean_acc = f.mean_acc; m2 = f.m2; total = f.total;
+          lo = f.lo; hi = f.hi };
+    hist = Array.copy a.hist }
 
 (* Bucket-wise addition plus the standard parallel Welford
    combination — no re-streaming of samples (there are none).  An
@@ -114,17 +132,18 @@ let merge a b =
   else if b.n = 0 then copy a
   else begin
   let t = create () in
+  let f = t.f and fa = a.f and fb = b.f in
   t.n <- a.n + b.n;
-  t.total <- a.total +. b.total;
+  f.total <- fa.total +. fb.total;
   if t.n > 0 then begin
     let na = float_of_int a.n and nb = float_of_int b.n in
     let n = float_of_int t.n in
-    let delta = b.mean_acc -. a.mean_acc in
-    t.mean_acc <- a.mean_acc +. (delta *. nb /. n);
-    t.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n)
+    let delta = fb.mean_acc -. fa.mean_acc in
+    f.mean_acc <- fa.mean_acc +. (delta *. nb /. n);
+    f.m2 <- fa.m2 +. fb.m2 +. (delta *. delta *. na *. nb /. n)
   end;
-  t.lo <- Float.min a.lo b.lo;
-  t.hi <- Float.max a.hi b.hi;
+  f.lo <- Float.min fa.lo fb.lo;
+  f.hi <- Float.max fa.hi fb.hi;
   Array.iteri (fun i c -> t.hist.(i) <- c + b.hist.(i)) a.hist;
   t
   end

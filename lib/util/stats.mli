@@ -22,6 +22,11 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Record one observation: O(1), no allocation. *)
 
+val add_int : t -> int -> unit
+(** [add_int t c] is [add t (float_of_int c)], converted inside this
+    module so the caller passes no boxed float: the runtime records a
+    latency per remote fault through it without allocating. *)
+
 val count : t -> int
 val sum : t -> float
 

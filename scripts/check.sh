@@ -11,7 +11,8 @@
 # section asserts a wall-clock speedup of the pre-decoded engine over
 # the reference interpreter, which only means anything with
 # optimizations on (the cycle metrics are deterministic and
-# profile-independent, so sharing the binary costs nothing).
+# profile-independent, so sharing the binary costs nothing).  The
+# allocation-free tests also run from a release build of the suite.
 #
 # The snapshot refresh is atomic: the fresh snapshot goes to a temp
 # directory and replaces BENCH.json only after every later step has
@@ -132,6 +133,22 @@ echo "== full suite at both ends of the domain matrix"
 # pool size anywhere in the suite, not just inside the par section.
 CARDS_TEST_DOMAINS=1 dune exec --no-build test/test_main.exe > /dev/null
 CARDS_TEST_DOMAINS=4 dune exec --no-build test/test_main.exe > /dev/null
+
+echo "== allocation tests from a release build"
+# The zero-allocation tests pass under dune runtest's dev build, which
+# compiles every module -opaque (no cross-module inlining); the release
+# profile inlines differently, so they must hold there too.  Every
+# test named "... allocation-free" runs from a release test binary.
+dune build --profile release test/test_main.exe
+alloc_tests=$(_build/default/test/test_main.exe list --color=never 2>/dev/null \
+  | awk '/ allocation-free\.$/ { print $1 ":" $2 }')
+test "$(echo "$alloc_tests" | wc -w)" -ge 3 || {
+  echo "check.sh: expected 3 or more allocation-free tests: $alloc_tests" >&2
+  exit 1; }
+for t in $alloc_tests; do
+  _build/default/test/test_main.exe test "${t%%:*}" "${t##*:}" > /dev/null || {
+    echo "check.sh: release build fails allocation test $t" >&2; exit 1; }
+done
 
 # Everything is green: only now does the fresh snapshot replace the
 # committed one.

@@ -270,6 +270,181 @@ let test_output_order () =
            print_int(3);
          }|})
 
+(* ---------- call depth and frame reuse ---------- *)
+
+(* Unbounded recursion ends in a trap at the same call under both
+   engines, and [cards run] exits 2 on it. *)
+let test_call_depth_traps () =
+  check_trap_both_src
+    "int f(int x) { return f(x + 1); } int main() { return f(0); }"
+    (Printf.sprintf "call depth exceeded (%d frames)"
+       Cards_interp.Sem.max_call_depth)
+
+(* One session per engine, driven through the same calls: each call's
+   result, or its trap, must agree, as must the cumulative output. *)
+let check_sessions_agree m calls =
+  let outcomes engine =
+    let s = M.session ~engine m (permissive_rt ()) in
+    List.map
+      (fun (name, args) ->
+        match M.call s name args with
+        | r -> Ok (r.M.ret, r.M.cycles, r.M.instructions, r.M.output)
+        | exception M.Trap msg -> Error msg)
+      calls
+  in
+  let show = function
+    | Ok (ret, cycles, instrs, out) ->
+      Printf.sprintf "ret %d, %d cycles, %d instrs, [%s]" ret cycles instrs
+        (String.concat "; " out)
+    | Error msg -> "trap: " ^ msg
+  in
+  check Alcotest.(list string) "decoded = reference"
+    (List.map show (outcomes M.Reference))
+    (List.map show (outcomes M.Decoded))
+
+let recursion_src =
+  {|int down(int n, int z) {
+      if (n == 0) { return 10 / z; }
+      return down(n - 1, z) + 1;
+    }
+    double fdown(int n, double x) {
+      if (n == 0) { return x; }
+      return fdown(n - 1, x * 0.5) + 1.0;
+    }
+    int show(int n) { print_float(fdown(n, 3.0)); return down(n, 1); }|}
+
+(* Pools grow to the deepest recursion seen: a shallow call, one far
+   deeper than any pool, then shallow again. *)
+let test_frames_deeper_than_pool () =
+  check_sessions_agree (I.Minic.compile recursion_src)
+    [ ("show", [ 3 ]); ("show", [ 900 ]); ("show", [ 2 ]); ("show", [ 1500 ]) ]
+
+(* A trap mid-recursion loses the frames it unwinds; the session keeps
+   serving, and the depth count restarts at the next call (9 990 frames
+   would trap if the 51 unwound ones still counted). *)
+let test_frames_after_trap () =
+  check_sessions_agree (I.Minic.compile recursion_src)
+    [ ("show", [ 4 ]); ("down", [ 50; 0 ]); ("show", [ 6 ]);
+      ("down", [ 9_990; 1 ]); ("down", [ 20; 0 ]); ("show", [ 60 ]) ]
+
+(* A register read before its first write reads 0 / 0.0, also in a
+   frame reused from an earlier call that wrote it.  MiniC
+   zero-initializes every declaration, so the shape is hand-built:
+   [f c] returns r1, written only when [c] is non-zero; [g] is the
+   same over a float register. *)
+let test_reused_frame_reads_zero () =
+  let maybe_set name ty v =
+    func ~name ~params:[ (0, I.Types.I64) ] ~ret:ty
+      ~reg_tys:[| I.Types.I64; ty |]
+      [ block 0 [] (I.Instr.Cbr (I.Instr.Reg 0, 1, 2));
+        block 1 [ I.Instr.Mov (1, v) ] (I.Instr.Br 2);
+        block 2 [] (I.Instr.Ret (Some (I.Instr.Reg 1))) ]
+  in
+  let m =
+    mod_of
+      [ maybe_set "f" I.Types.I64 (I.Instr.Imm 5L);
+        maybe_set "g" I.Types.F64 (I.Instr.Fimm 2.5);
+        func ~name:"both" ~params:[ (0, I.Types.I64) ] ~ret:I.Types.I64
+          ~reg_tys:[| I.Types.I64; I.Types.F64; I.Types.I64 |]
+          [ block 0
+              [ I.Instr.Call (Some 1, "g", [ I.Instr.Reg 0 ]);
+                I.Instr.Call (None, "print_float", [ I.Instr.Reg 1 ]);
+                I.Instr.Call (Some 2, "f", [ I.Instr.Reg 0 ]) ]
+              (I.Instr.Ret (Some (I.Instr.Reg 2))) ] ]
+  in
+  check_sessions_agree m
+    [ ("both", [ 1 ]); ("both", [ 0 ]); ("f", [ 1 ]); ("f", [ 0 ]);
+      ("both", [ 0 ]) ]
+
+(* ---------- decoded engine allocation ---------- *)
+
+(* The fig9 "array" loop and the "tree" [tsum] recursion, over data
+   built once by [setup]. *)
+let alloc_src =
+  {|int N = 64;
+    double *A;
+    double *B;
+    double *C;
+    struct Tn {
+      double val;
+      struct Tn *left;
+      struct Tn *right;
+    }
+    struct Tn *ROOT;
+
+    struct Tn *build(int lo, int hi) {
+      if (lo >= hi) { return null; }
+      int mid = (lo + hi) / 2;
+      struct Tn *n = malloc(sizeof(struct Tn));
+      n->val = 1.5 * mid;
+      n->left = build(lo, mid);
+      n->right = build(mid + 1, hi);
+      return n;
+    }
+
+    int setup() {
+      A = malloc(N * 8);
+      B = malloc(N * 8);
+      C = malloc(N * 8);
+      for (int i = 0; i < N; i = i + 1) {
+        A[i] = 1.0 * i;
+        B[i] = 2.0 * i;
+      }
+      ROOT = build(0, N);
+      return 0;
+    }
+
+    double tsum(struct Tn *n) {
+      if (n == null) { return 0.0; }
+      return n->val + tsum(n->left) + tsum(n->right);
+    }
+
+    int array_passes(int passes) {
+      double check = 0.0;
+      for (int p = 0; p < passes; p = p + 1) {
+        double s = 0.0;
+        for (int i = 0; i < N; i = i + 1) {
+          C[i] = A[i] + B[i];
+          s = s + C[i];
+        }
+        check = check + s;
+      }
+      return check;
+    }
+
+    int tree_passes(int passes) {
+      double check = 0.0;
+      for (int p = 0; p < passes; p = p + 1) {
+        check = check + tsum(ROOT);
+      }
+      return check;
+    }|}
+
+(* Minor-heap words one [Machine.call] allocates, net of the
+   measurement itself. *)
+let call_words s name args =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  int_of_float
+    (words (fun () -> ignore (M.call s name args)) -. words (fun () -> ()))
+
+(* A call allocates its result record and argument list; the loop it
+   runs must add nothing, so 20 passes cost what 10 do. *)
+let test_decoded_allocation_free () =
+  let s =
+    M.session ~engine:M.Decoded (I.Minic.compile alloc_src) (permissive_rt ())
+  in
+  ignore (M.call s "setup" []);
+  List.iter
+    (fun name ->
+      ignore (M.call s name [ 2 ]);
+      let w10 = call_words s name [ 10 ] and w20 = call_words s name [ 20 ] in
+      check Alcotest.int (name ^ ": words per extra pass") 0 (w20 - w10))
+    [ "array_passes"; "tree_passes" ]
+
 let suite =
   [ ("int ops", `Quick, test_int_ops);
     ("float ops", `Quick, test_float_ops);
@@ -290,4 +465,9 @@ let suite =
     ("unreachable traps", `Quick, test_unreachable_traps);
     ("dead bad code inert", `Quick, test_dead_bad_code_is_inert);
     ("engines identical on workload", `Quick, test_engines_identical_on_workload);
-    ("output order", `Quick, test_output_order) ]
+    ("output order", `Quick, test_output_order);
+    ("call depth traps", `Quick, test_call_depth_traps);
+    ("frames deeper than any pool", `Quick, test_frames_deeper_than_pool);
+    ("frames after a trap mid-recursion", `Quick, test_frames_after_trap);
+    ("reused frame reads zero", `Quick, test_reused_frame_reads_zero);
+    ("decoded loops allocation-free", `Quick, test_decoded_allocation_free) ]

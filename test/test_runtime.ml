@@ -52,9 +52,12 @@ let test_cost_table1 () =
 (* ---------- Fabric ---------- *)
 
 (* The fabrics these tests build are fault-free, so the [_attempt]
-   entry points always answer [Ok]; unwrap them. *)
+   entry points always answer [Ok]; unwrap them.  The transfer is the
+   fabric's own record, overwritten by its next request. *)
+let scale = N.Fabric.unit_scale
+
 let fetch_ok f ~now ~bytes =
-  match N.Fabric.fetch_attempt f ~now ~bytes with
+  match N.Fabric.fetch_attempt f ~scale ~now ~bytes with
   | Ok tr -> tr
   | Error _ -> Alcotest.fail "fault-free fabric NACKed a fetch"
 
@@ -63,7 +66,9 @@ let fetch f ~now ~bytes = (fetch_ok f ~now ~bytes).N.Fabric.t_complete
 let fetch_many_ok f ~now ~sizes =
   let count = Array.length sizes in
   let completions = Array.make count 0 in
-  match N.Fabric.fetch_many_attempt f ~now ~sizes ~count ~completions with
+  match
+    N.Fabric.fetch_many_attempt f ~scale ~now ~sizes ~count ~completions
+  with
   | Ok tr -> (tr, completions)
   | Error _ -> Alcotest.fail "fault-free fabric NACKed a batch"
 
@@ -144,14 +149,17 @@ let test_fabric_qp_dispatch () =
   let f =
     N.Fabric.create { N.Fabric.default_config with qp_count = 2 }
   in
-  let t1 = fetch_ok f ~now:0 ~bytes:4096 in
-  let t2 = fetch_ok f ~now:0 ~bytes:4096 in
-  check Alcotest.int "first not queued" 0 t1.N.Fabric.t_queued;
-  check Alcotest.int "second not queued" 0 t2.N.Fabric.t_queued;
-  check Alcotest.bool "different QPs" true
-    (t1.N.Fabric.t_qp <> t2.N.Fabric.t_qp);
-  let t3 = fetch_ok f ~now:0 ~bytes:4096 in
-  check Alcotest.bool "third queues" true (t3.N.Fabric.t_queued > 0);
+  let queued_qp () =
+    let tr = fetch_ok f ~now:0 ~bytes:4096 in
+    (tr.N.Fabric.t_queued, tr.N.Fabric.t_qp)
+  in
+  let q1, qp1 = queued_qp () in
+  let q2, qp2 = queued_qp () in
+  check Alcotest.int "first not queued" 0 q1;
+  check Alcotest.int "second not queued" 0 q2;
+  check Alcotest.bool "different QPs" true (qp1 <> qp2);
+  let q3, _ = queued_qp () in
+  check Alcotest.bool "third queues" true (q3 > 0);
   let st = N.Fabric.stats f in
   check Alcotest.int "per-QP counters sized" 2
     (Array.length st.qp_queue_cycles);
@@ -453,9 +461,11 @@ let test_rt_loop_check () =
   let h2 = R.Runtime.ds_init rt ~sid:1 in
   let a = R.Runtime.ds_alloc rt ~handle:h1 ~size:1024 in    (* pinned *)
   let big = R.Runtime.ds_alloc rt ~handle:h2 ~size:8192 in  (* demoted *)
-  check Alcotest.bool "untagged base passes" true (R.Runtime.loop_check rt [ a ]);
-  check Alcotest.bool "tagged base fails" false (R.Runtime.loop_check rt [ a; big ]);
-  check Alcotest.bool "empty passes" true (R.Runtime.loop_check rt [])
+  check Alcotest.bool "untagged base passes" true
+    (R.Runtime.loop_check rt [| a |]);
+  check Alcotest.bool "tagged base fails" false
+    (R.Runtime.loop_check rt [| a; big |]);
+  check Alcotest.bool "empty passes" true (R.Runtime.loop_check rt [||])
 
 let test_rt_clean_fault_fallback () =
   (* An unguarded access to an evicted object must still work (trap +
@@ -878,7 +888,7 @@ let proto = 55_800 (* default_config.proto_cycles *)
 
 let test_fabric_fault_transient () =
   let f = fault_fabric [ N.Fabric.Transient ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
+  (match N.Fabric.fetch_attempt f ~scale ~now:0 ~bytes:4096 with
    | Ok _ -> Alcotest.fail "rate-1 transient must NACK"
    | Error fl ->
      (* The NACK comes back a protocol round-trip after the QP picked
@@ -894,7 +904,7 @@ let test_fabric_fault_late () =
   let clean = N.Fabric.create N.Fabric.default_config in
   let nominal = fetch clean ~now:0 ~bytes:4096 in
   let f = fault_fabric [ N.Fabric.Late ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
+  (match N.Fabric.fetch_attempt f ~scale ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a late transfer still completes"
    | Ok tr ->
      check Alcotest.bool "tagged late" true
@@ -911,7 +921,7 @@ let test_fabric_fault_duplicate () =
   let clean = N.Fabric.create N.Fabric.default_config in
   let nominal = fetch clean ~now:0 ~bytes:4096 in
   let f = fault_fabric [ N.Fabric.Duplicate ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
+  (match N.Fabric.fetch_attempt f ~scale ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a duplicated transfer still completes"
    | Ok tr ->
      (* The data arrives on time; only the QP pays for draining the
@@ -929,7 +939,7 @@ let test_fabric_attempt_rate0_identity () =
   let b = fault_fabric ~rate:0.0 all_kinds in
   for i = 0 to 9 do
     let ta = fetch_ok a ~now:(i * 10_000) ~bytes:4096 in
-    match N.Fabric.fetch_attempt b ~now:(i * 10_000) ~bytes:4096 with
+    match N.Fabric.fetch_attempt b ~scale ~now:(i * 10_000) ~bytes:4096 with
     | Ok tb -> check Alcotest.bool "identical transfer" true (ta = tb)
     | Error _ -> Alcotest.fail "rate 0 cannot fail"
   done;
@@ -938,7 +948,7 @@ let test_fabric_attempt_rate0_identity () =
 
 let test_fabric_reliable_never_faults () =
   let f = fault_fabric all_kinds in
-  let tr = N.Fabric.fetch_reliable f ~now:0 ~bytes:4096 in
+  let tr = N.Fabric.fetch_reliable f ~scale ~now:0 ~bytes:4096 in
   check Alcotest.bool "no fault on the reliable channel" true
     (tr.N.Fabric.t_fault = None);
   (* Send + end-to-end ack: one extra protocol round on top of the
@@ -986,7 +996,9 @@ let test_fabric_fault_schedule_deterministic () =
   let run seed =
     let f = fault_fabric ~rate:0.5 ~seed all_kinds in
     List.init 32 (fun i ->
-        match N.Fabric.fetch_attempt f ~now:(i * 100_000) ~bytes:4096 with
+        match
+          N.Fabric.fetch_attempt f ~scale ~now:(i * 100_000) ~bytes:4096
+        with
         | Ok tr -> (true, tr.N.Fabric.t_complete, tr.N.Fabric.t_fault)
         | Error fl -> (false, fl.N.Fabric.f_fail, None))
   in
@@ -996,11 +1008,11 @@ let test_fabric_fault_schedule_deterministic () =
 
 let test_fabric_set_fault_rate () =
   let f = fault_fabric [ N.Fabric.Transient ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:64 with
+  (match N.Fabric.fetch_attempt f ~scale ~now:0 ~bytes:64 with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "rate 1 must fault");
   N.Fabric.set_fault_rate f 0.0;
-  (match N.Fabric.fetch_attempt f ~now:1_000_000 ~bytes:64 with
+  (match N.Fabric.fetch_attempt f ~scale ~now:1_000_000 ~bytes:64 with
    | Ok tr ->
      check Alcotest.bool "rate 0 is clean" true (tr.N.Fabric.t_fault = None)
    | Error _ -> Alcotest.fail "rate 0 cannot fail");
@@ -1359,6 +1371,44 @@ let prop_targets_sort_uniq =
       List.init (Tg.length buf) (fun i -> (Tg.ds buf i, Tg.obj buf i))
       = List.sort_uniq compare pairs)
 
+(* The stride prefetcher's vote against a counting model: over the last
+   8 non-zero deltas, a delta held by more than half of them locks, and
+   a locked non-unit stride emits [depth] objects along it.  Streams mix
+   strides -3..3 and long jumps; steps where the model locks stride 1
+   are skipped (unit strides emit hysteresis-paced runs instead). *)
+let prop_stride_vote_model =
+  let step = QCheck.Gen.oneofl [ -3; -2; -1; 0; 1; 2; 2; 3; 3; 3; 40 ] in
+  QCheck.Test.make ~name:"stride vote = counting model" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 200) step))
+    (fun steps ->
+      let depth = 3 in
+      let p = R.Prefetcher.stride ~depth in
+      let window = ref [] in
+      let majority () =
+        let n = List.length !window in
+        let count d = List.length (List.filter (( = ) d) !window) in
+        match List.find_opt (fun d -> 2 * count d > n) !window with
+        | Some d when n >= 4 -> d
+        | _ -> 0
+      in
+      let obj = ref 10_000 and ok = ref true in
+      List.iteri
+        (fun i d ->
+          if i > 0 then begin
+            obj := !obj + d;
+            if d <> 0 then
+              window := List.filteri (fun j _ -> j < 8) (d :: !window)
+          end;
+          let out = emitted p ~obj:!obj ~missed:false in
+          match majority () with
+          | 1 -> ()
+          | 0 -> if out <> [] then ok := false
+          | m ->
+            if out <> List.init depth (fun k -> !obj + (m * (k + 1))) then
+              ok := false)
+        steps;
+      !ok)
+
 (* ---------- allocation-free hot paths ---------- *)
 
 (* Minor-heap words [f] allocates, net of the measurement itself. *)
@@ -1409,7 +1459,60 @@ let test_rt_hot_paths_allocation_free () =
            ignore (R.Runtime.ds_alloc rt ~handle:h ~size:64)
          done));
   check Alcotest.int "each allocation evicted one object" 10_000
-    ((R.Rt_stats.total (R.Runtime.stats rt)).R.Rt_stats.evictions - ev0)
+    ((R.Rt_stats.total (R.Runtime.stats rt)).R.Rt_stats.evictions - ev0);
+  (* The far-memory slow path in steady state.  One structure of 4 096
+     64-byte objects, allocated up front so nothing grows while
+     measured, behind a 16-object cache: without prefetching, a
+     sequential sweep misses on every object and evicts one per
+     fetch. *)
+  let far ~prefetch ~batching =
+    let rt =
+      R.Runtime.create
+        { R.Runtime.default_config with
+          policy = R.Policy.All_remotable; k = 0.0; local_bytes = 1 lsl 20;
+          remotable_bytes = 16 * 64; prefetch_mode = prefetch;
+          prefetch_depth = 4; batching }
+        [| info |]
+    in
+    let h = R.Runtime.ds_init rt ~sid:0 in
+    let a = R.Runtime.ds_alloc rt ~handle:h ~size:(4096 * 64) in
+    let sweep ~write lo hi =
+      for o = lo to hi - 1 do
+        R.Runtime.guard rt ~write (a + (o * 64))
+      done
+    in
+    (rt, h, sweep)
+  in
+  let ds_stat rt h f = f (R.Rt_stats.ds_stats (R.Runtime.stats rt) h) in
+  (* Remote fault -> dirty eviction -> writeback, prefetching off. *)
+  let rt, h, sweep = far ~prefetch:R.Runtime.Pf_none ~batching:true in
+  sweep ~write:true 0 1024;
+  let rf0 = ds_stat rt h (fun d -> d.R.Rt_stats.remote_faults)
+  and wb0 = (R.Runtime.fabric_stats rt).N.Fabric.writebacks in
+  check Alcotest.int "1 000 fault / dirty evict / writeback cycles" 0
+    (minor_words (fun () -> sweep ~write:true 1024 2024));
+  check Alcotest.int "every access faulted" 1000
+    (ds_stat rt h (fun d -> d.R.Rt_stats.remote_faults) - rf0);
+  check Alcotest.int "every fault wrote one dirty object back" 1000
+    ((R.Runtime.fabric_stats rt).N.Fabric.writebacks - wb0);
+  (* Batched stride-window prefetch issue. *)
+  let rt, _, sweep = far ~prefetch:R.Runtime.Pf_stride_only ~batching:true in
+  sweep ~write:false 0 1024;
+  let b0 = (R.Runtime.fabric_stats rt).N.Fabric.batches in
+  check Alcotest.int "1 000 accesses issuing batched windows" 0
+    (minor_words (fun () -> sweep ~write:false 1024 2024));
+  check Alcotest.bool "windows went out as batches" true
+    ((R.Runtime.fabric_stats rt).N.Fabric.batches > b0);
+  (* Late-prefetch settles: an access with no work in between reaches
+     each prefetched object before it lands.  Unbatched, so the
+     one-object prefetch path is measured too. *)
+  let rt, h, sweep = far ~prefetch:R.Runtime.Pf_stride_only ~batching:false in
+  sweep ~write:false 0 1024;
+  let late0 = ds_stat rt h (fun d -> d.R.Rt_stats.prefetch_late) in
+  check Alcotest.int "1 000 accesses settling late prefetches" 0
+    (minor_words (fun () -> sweep ~write:false 1024 2024));
+  check Alcotest.bool "prefetches settled late" true
+    (ds_stat rt h (fun d -> d.R.Rt_stats.prefetch_late) - late0 > 0)
 
 let suite =
   [ ("addr basics", `Quick, test_addr_basics);
@@ -1497,4 +1600,5 @@ let suite =
     qcheck prop_fabric_completion_monotone;
     qcheck prop_addr_roundtrip;
     qcheck prop_addr_arith_stays_in_ds;
-    qcheck prop_policy_quota ]
+    qcheck prop_policy_quota;
+    qcheck prop_stride_vote_model ]

@@ -249,6 +249,77 @@ let prop_stats_merge_empty_side =
       ok && U.Stats.count a = List.length xs
       && (xs = [] || U.Stats.median a = U.Stats.median m2))
 
+(* Stats against a list model: three accumulators driven by random
+   add / merge / copy steps, each mirrored on a list of observations.
+   Every accumulator must then report the model's count, sum, mean,
+   variance and exact extremes, and the histogram of one streamed
+   from the model list.  [Copy] is a merge with an empty accumulator,
+   which answers the module's [copy] of the other side; a later [Add]
+   to a copy or a merge result must leave its sources untouched. *)
+type stats_step =
+  | Add of int * float
+  | Merge of int * int * int
+  | Copy of int * int
+
+let prop_stats_model =
+  let slot = QCheck.Gen.int_bound 2 in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [ (6, map2 (fun i x -> Add (i, x)) slot (float_range 1.0 1e6));
+          (1, map3 (fun i j k -> Merge (i, j, k)) slot slot slot);
+          (1, map2 (fun i j -> Copy (i, j)) slot slot) ])
+  in
+  let show = function
+    | Add (i, x) -> Printf.sprintf "add %d %g" i x
+    | Merge (i, j, k) -> Printf.sprintf "merge %d %d -> %d" i j k
+    | Copy (i, j) -> Printf.sprintf "copy %d -> %d" i j
+  in
+  QCheck.Test.make ~name:"Stats add/merge/copy = list model" ~count:300
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show steps))
+       QCheck.Gen.(list_size (int_range 0 120) step))
+    (fun steps ->
+      let acc = Array.init 3 (fun _ -> U.Stats.create ()) in
+      let model = Array.make 3 [] in
+      List.iter
+        (function
+          | Add (i, x) ->
+            U.Stats.add acc.(i) x;
+            model.(i) <- model.(i) @ [ x ]
+          | Merge (i, j, k) ->
+            acc.(k) <- U.Stats.merge acc.(i) acc.(j);
+            model.(k) <- model.(i) @ model.(j)
+          | Copy (i, j) ->
+            acc.(j) <- U.Stats.merge acc.(i) (U.Stats.create ());
+            model.(j) <- model.(i))
+        steps;
+      let close a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs b) in
+      let agrees s xs =
+        let n = List.length xs in
+        let nf = float_of_int n in
+        let sum = List.fold_left ( +. ) 0.0 xs in
+        let mean = if n = 0 then 0.0 else sum /. nf in
+        let var =
+          if n < 2 then 0.0
+          else
+            List.fold_left (fun a x -> a +. ((x -. mean) ** 2.0)) 0.0 xs /. nf
+        in
+        let streamed = U.Stats.create () in
+        List.iter (U.Stats.add streamed) xs;
+        U.Stats.count s = n
+        && close (U.Stats.sum s) sum
+        && close (U.Stats.mean s) mean
+        && Float.abs (U.Stats.variance s -. var) <= 1e-6 *. (1.0 +. var)
+        && U.Stats.min s = List.fold_left Float.min infinity xs
+        && U.Stats.max s = List.fold_left Float.max neg_infinity xs
+        && U.Stats.log2_counts s = U.Stats.log2_counts streamed
+        && List.for_all
+             (fun p -> U.Stats.percentile s p = U.Stats.percentile streamed p)
+             [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ]
+      in
+      Array.for_all2 agrees acc model)
+
 (* ---------- Union_find ---------- *)
 
 let test_uf_basic () =
@@ -495,4 +566,5 @@ let suite =
     qcheck prop_bitset_model;
     qcheck prop_pqueue_sorted;
     ("ring grows while wrapped", `Quick, test_ring_grows_while_wrapped);
-    qcheck prop_ring_is_queue ]
+    qcheck prop_ring_is_queue;
+    qcheck prop_stats_model ]
