@@ -10,7 +10,7 @@
      dune exec bench/main.exe -- fig8 fig9 # selected experiments
 
    Sections: table1 fig4 fig5 fig6 fig7 fig8 fig9 fabric profile attr
-   faults spans layout whatif serve par ablations bechamel host
+   faults spans layout whatif serve par ablations host
 
    The gated sections — fabric attr faults spans whatif layout host
    serve par — hard-assert the claims listed in each section's comment
@@ -969,81 +969,6 @@ void main() {
   T.print t3
 
 (* ---------------------------------------------------------------- *)
-(* Bechamel: wall-clock microbenchmarks of the runtime primitives.  *)
-(* ---------------------------------------------------------------- *)
-
-let bechamel () =
-  header "Bechamel: wall-clock cost of runtime primitives (host CPU)";
-  let open Bechamel in
-  let open Toolkit in
-  let info = R.Static_info.default ~sid:0 in
-  let rt =
-    R.Runtime.create
-      { R.Runtime.default_config with
-        policy = R.Policy.All_remotable; k = 0.0;
-        local_bytes = kb 1024; remotable_bytes = kb 512;
-        prefetch_mode = R.Runtime.Pf_none }
-      [| info |]
-  in
-  let h = R.Runtime.ds_init rt ~sid:0 in
-  let a = R.Runtime.ds_alloc rt ~handle:h ~size:4096 in
-  R.Runtime.guard rt ~write:false a;
-  (* A second handle created 64 ds_init calls later lands in the same
-     slot of the 64-entry direct-mapped translation cache, so
-     alternating reads between the two evict each other: the conflict
-     row prices the fast path when every probe misses the cache and
-     refills it, against the hit row's single-probe cost and the
-     canonical path it would otherwise fall back to. *)
-  for _ = 1 to 63 do
-    ignore (R.Runtime.ds_init rt ~sid:0)
-  done;
-  let h2 = R.Runtime.ds_init rt ~sid:0 in
-  let a2 = R.Runtime.ds_alloc rt ~handle:h2 ~size:4096 in
-  R.Runtime.guard rt ~write:false a2;
-  let flip = ref false in
-  let tests =
-    [ Test.make ~name:"addr_encode_decode" (Staged.stage (fun () ->
-          let x = R.Addr.encode ~ds:3 ~offset:512 in
-          ignore (R.Addr.ds_of x + R.Addr.offset_of x)));
-      Test.make ~name:"guard_hit_path" (Staged.stage (fun () ->
-          R.Runtime.guard rt ~write:false a));
-      Test.make ~name:"heap_read_i64" (Staged.stage (fun () ->
-          ignore (R.Runtime.read_i64 rt a)));
-      Test.make ~name:"read_i64_fast_tc_hit" (Staged.stage (fun () ->
-          ignore (R.Runtime.read_i64_fast rt a)));
-      Test.make ~name:"read_i64_fast_tc_conflict" (Staged.stage (fun () ->
-          flip := not !flip;
-          ignore (R.Runtime.read_i64_fast rt (if !flip then a else a2))));
-      Test.make ~name:"custody_check_unmanaged" (Staged.stage (fun () ->
-          R.Runtime.guard rt ~write:false 64)) ]
-  in
-  let t =
-    T.create ~title:"OLS time per call (nanoseconds, host wall clock)"
-      ~header:[ "primitive"; "ns/call" ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Instance.[ monotonic_clock ] in
-      let cfg =
-        Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-      in
-      let raw = Benchmark.all cfg instances test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> T.add_row t [ name; Printf.sprintf "%.1f" est ]
-          | Some [] | None -> T.add_row t [ name; "n/a" ])
-        results)
-    tests;
-  T.print t
-
-(* ---------------------------------------------------------------- *)
 (* Host: pre-decoded engine vs reference interpreter.               *)
 (* ---------------------------------------------------------------- *)
 
@@ -1646,7 +1571,7 @@ let sections =
     ("whatif", whatif_section); ("serve", serve_section);
     ("par", par_section);
     ("ablations", ablations);
-    ("bechamel", bechamel); ("host", host) ]
+    ("host", host) ]
 
 let () =
   let rec strip acc = function

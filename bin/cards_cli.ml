@@ -350,11 +350,12 @@ let span_rate_arg =
 let postmortem_arg =
   Arg.(value & flag
        & info [ "postmortem" ]
-           ~doc:"Keep a bounded flight recorder of recent spans \
-                 (retried/escalated/trapped chains retained in full) \
-                 and dump a human-readable post-mortem to stderr if \
-                 the program traps or a fetch escalates to the \
-                 reliable channel.  Implies span recording.")
+           ~doc:"Dump a human-readable post-mortem of the recorded \
+                 spans to stderr if the program traps or a fetch \
+                 escalates to the reliable channel: the last \
+                 retried/escalated/trapped causal chain, the other \
+                 trouble spans and the last completions.  Implies span \
+                 recording.")
 
 let whatif_arg =
   Arg.(value & flag
@@ -407,6 +408,12 @@ let make_sink ~trace ~events ~trace_cap ~metrics ~metrics_interval ~spans
             else None)
          ~postmortem ~reporter ())
 
+(* Each file exporter streams straight into the file; an unopenable
+   path raises Sys_error, which [with_errors] reports as
+   "error: <path>: ..." and exit 1. *)
+let write_file path export =
+  Out_channel.with_open_text path (fun oc -> export (output_string oc))
+
 let export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans =
   let names = R.Runtime.ds_name rt in
   Option.iter
@@ -415,12 +422,12 @@ let export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans =
        | Some tr ->
          Option.iter
            (fun path ->
-             O.Export.write_file path (O.Export.chrome_trace_string ~names tr);
+             write_file path (fun out -> O.Export.chrome_trace ~names out tr);
              O.Reporter.linef reporter "-- trace: %d events to %s (%d dropped)"
                (O.Trace.length tr) path (O.Trace.dropped tr))
            trace;
          Option.iter
-           (fun path -> O.Export.write_file path (O.Export.events_jsonl tr))
+           (fun path -> write_file path (fun out -> O.Export.events_jsonl out tr))
            events
        | None -> ());
       (match O.Sink.spans sink with
@@ -430,14 +437,12 @@ let export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans =
           | None -> ());
          Option.iter
            (fun path ->
-             let contents =
-               if Filename.check_suffix path ".jsonl" then
-                 O.Export.spans_jsonl c
-               else if Filename.check_suffix path ".folded" then
-                 O.Export.spans_folded ~names c
-               else O.Export.spans_chrome_trace_string ~names c
-             in
-             O.Export.write_file path contents;
+             write_file path (fun out ->
+                 if Filename.check_suffix path ".jsonl" then
+                   O.Export.spans_jsonl out c
+                 else if Filename.check_suffix path ".folded" then
+                   O.Export.spans_folded ~names out c
+                 else O.Export.spans_chrome_trace ~names out c);
              O.Reporter.linef reporter "-- spans: %d to %s" (O.Span.length c)
                path)
            spans
@@ -447,7 +452,7 @@ let export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans =
          if metrics then T.print (O.Export.metrics_table m);
          Option.iter
            (fun path ->
-             O.Export.write_file path (O.Export.metrics_csv m);
+             write_file path (fun out -> O.Export.metrics_csv out m);
              O.Reporter.linef reporter "-- metrics: %d samples to %s"
                (O.Metrics.n_samples m) path)
            metrics_csv

@@ -18,8 +18,6 @@ val scc_of : t -> string -> int
 
 val scc_members : t -> int -> string list
 
-val nsccs : t -> int
-
 val same_scc : t -> string -> string -> bool
 (** Mutually recursive (or identical) functions? *)
 

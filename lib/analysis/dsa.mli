@@ -50,8 +50,6 @@ val analyze : Cards_ir.Irmod.t -> t
 
 val canonical : t -> node -> node
 
-val is_heap : t -> node -> bool
-
 val node_of_value : t -> fname:string -> Cards_ir.Instr.value -> node option
 (** The memory object a pointer value points into, if the analysis
     tracked one ([None] for immediates / untracked registers). *)

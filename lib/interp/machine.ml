@@ -241,7 +241,7 @@ let finish st res =
     output = lines_of st.out }
 
 (* Shared by both engines: a program that dies — an interpreter trap
-   or a runtime error — triggers the flight recorder's post-mortem
+   or a runtime error — triggers the span post-mortem
    (when the sink armed one) before the exception propagates.  The
    runtime covers the other dump trigger (fault escalation) itself. *)
 let with_postmortem st f =

@@ -83,5 +83,4 @@ exception Syntax_error of pos * string
 val error : pos -> string -> 'a
 (** Raise {!Syntax_error}. *)
 
-val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string

@@ -21,9 +21,6 @@ val fresh : t -> Types.t -> Instr.reg
 
 val reg_ty : t -> Instr.reg -> Types.t
 
-val value_ty : t -> Instr.value -> Types.t
-(** Static type of a value ([Imm] is [I64], [Null] is [Ptr I64], …). *)
-
 val new_block : t -> int
 (** Create an (unterminated) block and return its id; cursor unmoved. *)
 

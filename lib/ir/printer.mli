@@ -5,7 +5,3 @@
 val func_to_string : Func.t -> string
 
 val module_to_string : Irmod.t -> string
-
-val pp_func : Format.formatter -> Func.t -> unit
-
-val pp_module : Format.formatter -> Irmod.t -> unit

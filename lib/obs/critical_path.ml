@@ -19,39 +19,23 @@ type report = {
 let analyze c =
   if Span.length c = 0 then None
   else begin
-    let spans =
-      List.sort
-        (fun (a : Span.t) b -> compare a.sp_id b.sp_id)
-        (Span.spans c)
-    in
-    let by_id = Hashtbl.create (Span.length c) in
     (* chain_cost(s) = stall(s) + chain_cost(parent); parents have
-       smaller ids, so the sorted forward pass sees them first. *)
-    let cost = Hashtbl.create (Span.length c) in
-    let best = ref (-1) and best_cost = ref (-1) and last = ref 0 in
-    List.iter
+       smaller ids, so the id-order forward pass sees them first.  An
+       unrecorded parent costs 0. *)
+    let cost = Array.make (Span.id_bound c) 0 in
+    let best = ref None and best_cost = ref (-1) and last = ref 0 in
+    Span.iter_by_id
       (fun (s : Span.t) ->
-        Hashtbl.replace by_id s.sp_id s;
-        let parent_cost =
-          match Hashtbl.find_opt cost s.sp_parent with
-          | Some pc -> pc
-          | None -> 0
-        in
+        let parent_cost = if s.sp_parent >= 0 then cost.(s.sp_parent) else 0 in
         let ch = Span.stall s + parent_cost in
-        Hashtbl.replace cost s.sp_id ch;
+        cost.(s.sp_id) <- ch;
         if ch > !best_cost then begin
           best_cost := ch;
-          best := s.sp_id
+          best := Some s
         end;
         if s.sp_complete > !last then last := s.sp_complete)
-      spans;
-    (* Walk the winner back to its root. *)
-    let rec chain acc id =
-      match Hashtbl.find_opt by_id id with
-      | None -> acc
-      | Some s -> chain (s :: acc) s.sp_parent
-    in
-    let ch = chain [] !best in
+      c;
+    let ch = match !best with Some s -> Span.chain c s | None -> [] in
     let ph =
       List.fold_left
         (fun p (s : Span.t) ->

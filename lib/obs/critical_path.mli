@@ -3,8 +3,8 @@
     Answers "which single chain of fetches bounds end-to-end time?".
     The chain cost of a span is its own stall plus its parent's chain
     cost; because span parent edges point strictly backwards in id
-    order ({!Span.well_formed}), one forward pass over spans sorted
-    by id computes every chain cost, and the maximum is the critical
+    order ({!Span.well_formed}), one forward pass in id order
+    ({!Span.iter_by_id}) computes every chain cost, and the maximum is the critical
     path of the epoch.  The whole run is analyzed as one epoch —
     program start to the last recorded completion (see DESIGN.md §9).
 

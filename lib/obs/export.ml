@@ -41,14 +41,12 @@ let event_json (ev : Event.t) =
        ("obj", Json.Int ev.ev_obj) ]
      @ kind_args ev.ev_kind)
 
-let events_jsonl trace =
-  let buf = Buffer.create 4096 in
+let events_jsonl out trace =
   Trace.iter
     (fun ev ->
-      Buffer.add_string buf (Json.to_string (event_json ev));
-      Buffer.add_char buf '\n')
-    trace;
-  Buffer.contents buf
+      out (Json.to_string (event_json ev));
+      out "\n")
+    trace
 
 let sample_json (s : Metrics.sample) =
   Json.Obj
@@ -78,22 +76,20 @@ let metrics_jsonl metrics =
     (Metrics.samples metrics);
   Buffer.contents buf
 
-let metrics_csv metrics =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
+let metrics_csv out metrics =
+  out
     "cycle,ds,name,resident_bytes,guards,guard_hits,remote_faults,\
      clean_faults,pf_issued,pf_used,pf_late,evictions,fetched_bytes,\
      prefetcher,pf_switches\n";
   List.iter
     (fun (s : Metrics.sample) ->
-      Buffer.add_string buf
+      out
         (Printf.sprintf "%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d\n"
            s.m_cycle s.m_ds s.m_name s.m_resident_bytes s.m_guards
            s.m_guard_hits s.m_remote_faults s.m_clean_faults s.m_pf_issued
            s.m_pf_used s.m_pf_late s.m_evictions s.m_fetched_bytes
            s.m_prefetcher s.m_pf_switches))
-    (Metrics.samples metrics);
-  Buffer.contents buf
+    (Metrics.samples metrics)
 
 (* ---------- Chrome trace_event ---------- *)
 
@@ -122,10 +118,13 @@ let event_tid (ev : Event.t) =
 let ds_row ?names tid =
   match names with Some f -> f tid | None -> Printf.sprintf "ds %d" tid
 
-(* One trace_event document: the process name, a [thread_name] label
-   for every distinct tid [tids] reports (sorted), then [events], and
-   [otherData] closed by the caller's [other] fields. *)
-let chrome_document ~freq_ghz ~process ~label ~tids ~other events =
+(* One trace_event document, streamed through [out]: the process name,
+   a [thread_name] label for every distinct tid [tids] reports
+   (sorted), then every event [body] passes to its emitter, and
+   [otherData] closed by the caller's [other] fields.  Rendered exactly
+   as [Json.to_string] renders the whole document, one event at a
+   time. *)
+let chrome_document out ~freq_ghz ~process ~label ~tids ~other body =
   let seen = Hashtbl.create 8 in
   tids (fun tid -> Hashtbl.replace seen tid ());
   let thread_name tid =
@@ -136,24 +135,30 @@ let chrome_document ~freq_ghz ~process ~label ~tids ~other events =
         ("tid", Json.Int tid);
         ("args", Json.Obj [ ("name", Json.Str (label tid)) ]) ]
   in
-  let metas =
-    Json.Obj
-      [ ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("args", Json.Obj [ ("name", Json.Str process) ]) ]
-    :: (Hashtbl.fold (fun tid () acc -> tid :: acc) seen []
-        |> List.sort compare
-        |> List.map thread_name)
+  out "{\"traceEvents\":[";
+  out
+    (Json.to_string
+       (Json.Obj
+          [ ("name", Json.Str "process_name");
+            ("ph", Json.Str "M");
+            ("pid", Json.Int 1);
+            ("args", Json.Obj [ ("name", Json.Str process) ]) ]));
+  let event j =
+    out ",";
+    out (Json.to_string j)
   in
-  Json.Obj
-    [ ("traceEvents", Json.List (metas @ events));
-      ("displayTimeUnit", Json.Str "ms");
-      ("otherData",
-       Json.Obj
-         ([ ("tool", Json.Str "cards");
-            ("clock", Json.Str (Printf.sprintf "%.1f GHz simulated" freq_ghz)) ]
-          @ other)) ]
+  Hashtbl.fold (fun tid () acc -> tid :: acc) seen []
+  |> List.sort compare
+  |> List.iter (fun tid -> event (thread_name tid));
+  body event;
+  out "],\"displayTimeUnit\":\"ms\",\"otherData\":";
+  out
+    (Json.to_string
+       (Json.Obj
+          ([ ("tool", Json.Str "cards");
+             ("clock", Json.Str (Printf.sprintf "%.1f GHz simulated" freq_ghz)) ]
+           @ other)));
+  out "}"
 
 let chrome_event ~freq_ghz (ev : Event.t) : Json.t =
   let ts = us_of_cycles ~freq_ghz ev.ev_cycle in
@@ -178,20 +183,17 @@ let chrome_event ~freq_ghz (ev : Event.t) : Json.t =
         [ ("dur", Json.Float (us_of_cycles ~freq_ghz dur)); args ]
     | None -> base (Event.kind_name k) "i" [ ("s", Json.Str "t"); args ])
 
-let chrome_trace ?(freq_ghz = 2.4) ?names trace =
+let chrome_trace ?(freq_ghz = 2.4) ?names out trace =
   let label tid =
     if tid = 0 then "interpreter"
     else if tid >= qp_tid_base then
       Printf.sprintf "qp%d inbound" (tid - qp_tid_base)
     else ds_row ?names tid
   in
-  chrome_document ~freq_ghz ~process:"CaRDS simulated run" ~label
+  chrome_document out ~freq_ghz ~process:"CaRDS simulated run" ~label
     ~tids:(fun add -> Trace.iter (fun ev -> add (event_tid ev)) trace)
     ~other:[ ("dropped_events", Json.Int (Trace.dropped trace)) ]
-    (List.map (chrome_event ~freq_ghz) (Trace.to_list trace))
-
-let chrome_trace_string ?freq_ghz ?names trace =
-  Json.to_string (chrome_trace ?freq_ghz ?names trace)
+    (fun event -> Trace.iter (fun ev -> event (chrome_event ~freq_ghz ev)) trace)
 
 (* ---------- causal spans ---------- *)
 
@@ -227,14 +229,12 @@ let span_json (s : Span.t) =
        | Some f -> [ ("fault", Json.Str f) ]
        | None -> [])
 
-let spans_jsonl collector =
-  let buf = Buffer.create 4096 in
+let spans_jsonl out collector =
   Span.iter
     (fun s ->
-      Buffer.add_string buf (Json.to_string (span_json s));
-      Buffer.add_char buf '\n')
-    collector;
-  Buffer.contents buf
+      out (Json.to_string (span_json s));
+      out "\n")
+    collector
 
 (* Span rows in the Chrome trace: fabric-carrying spans (demand,
    escalated, prefetch, batch) sit on their queue pair's row, CPU-side
@@ -245,11 +245,15 @@ let spans_jsonl collector =
 let span_tid (s : Span.t) =
   if s.sp_qp >= 0 then qp_tid_base + s.sp_qp else s.sp_ds
 
-let spans_chrome_trace ?(freq_ghz = 2.4) ?names collector =
-  let by_id = Hashtbl.create (Span.length collector) in
-  Span.iter (fun s -> Hashtbl.replace by_id s.Span.sp_id s) collector;
-  let evs = ref [] in
-  let push e = evs := e :: !evs in
+let spans_chrome_trace ?(freq_ghz = 2.4) ?names out collector =
+  let label tid =
+    if tid >= qp_tid_base then Printf.sprintf "qp%d spans" (tid - qp_tid_base)
+    else ds_row ?names tid
+  in
+  chrome_document out ~freq_ghz ~process:"CaRDS causal spans" ~label
+    ~tids:(fun add -> Span.iter (fun s -> add (span_tid s)) collector)
+    ~other:[ ("spans", Json.Int (Span.length collector)) ]
+  @@ fun push ->
   Span.iter
     (fun (s : Span.t) ->
       let ts = us_of_cycles ~freq_ghz s.sp_issued in
@@ -272,7 +276,7 @@ let spans_chrome_trace ?(freq_ghz = 2.4) ?names collector =
                    | Json.Obj fields -> fields
                    | _ -> []))) ]);
       if s.sp_parent >= 0 then
-        match Hashtbl.find_opt by_id s.sp_parent with
+        match Span.find collector s.sp_parent with
         | None -> ()
         | Some (p : Span.t) ->
           let name =
@@ -294,18 +298,7 @@ let spans_chrome_trace ?(freq_ghz = 2.4) ?names collector =
           in
           flow "s" [] (span_tid p) p.sp_complete;
           flow "f" [ ("bp", Json.Str "e") ] (span_tid s) s.sp_issued)
-    collector;
-  let label tid =
-    if tid >= qp_tid_base then Printf.sprintf "qp%d spans" (tid - qp_tid_base)
-    else ds_row ?names tid
-  in
-  chrome_document ~freq_ghz ~process:"CaRDS causal spans" ~label
-    ~tids:(fun add -> Span.iter (fun s -> add (span_tid s)) collector)
-    ~other:[ ("spans", Json.Int (Span.length collector)) ]
-    (List.rev !evs)
-
-let spans_chrome_trace_string ?freq_ghz ?names collector =
-  Json.to_string (spans_chrome_trace ?freq_ghz ?names collector)
+    collector
 
 (* ---------- folded stacks (flamegraph.pl / speedscope input) ---------- *)
 
@@ -331,26 +324,17 @@ let folded_frame ?names (s : Span.t) =
   in
   String.map (fun c -> if c = ';' || c = ' ' || c = '\t' then '_' else c) raw
 
-let spans_folded ?names collector =
-  let by_id = Hashtbl.create (max 16 (Span.length collector)) in
-  Span.iter (fun s -> Hashtbl.replace by_id s.Span.sp_id s) collector;
+let spans_folded ?names out collector =
   let stacks : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Span.iter
     (fun (s : Span.t) ->
       let cost = Span.stall s in
       if cost > 0 then begin
-        (* Root-to-leaf frame list via the parent chain.  Parents are
-           strictly older ids (well-formedness invariant), so the walk
-           terminates; a sampled-out parent just truncates the stack. *)
-        let rec frames (s : Span.t) acc =
-          let acc = folded_frame ?names s :: acc in
-          if s.sp_parent < 0 then acc
-          else
-            match Hashtbl.find_opt by_id s.sp_parent with
-            | Some p -> frames p acc
-            | None -> acc
+        (* A sampled-out parent just truncates the stack. *)
+        let stack =
+          String.concat ";"
+            (List.map (folded_frame ?names) (Span.chain collector s))
         in
-        let stack = String.concat ";" (frames s []) in
         Hashtbl.replace stacks stack
           ((match Hashtbl.find_opt stacks stack with
             | Some v -> v
@@ -361,7 +345,7 @@ let spans_folded ?names collector =
   Hashtbl.fold
     (fun stack cost acc -> Printf.sprintf "%s %d\n" stack cost :: acc)
     stacks []
-  |> List.sort compare |> String.concat ""
+  |> List.sort compare |> List.iter out
 
 let critical_path_table ?(title = "Critical path (longest causal chain)")
     ~names (r : Critical_path.report) =
@@ -420,10 +404,98 @@ let critical_path_table ?(title = "Critical path (longest causal chain)")
       ""; ""; (if by_ds = "" then "-" else by_ds) ];
   t
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* ---------- post-mortem ---------- *)
+
+(* Spans that warrant a post-mortem: anything that retried, escalated,
+   trapped, or absorbed a fault. *)
+let flagged (s : Span.t) =
+  match s.sp_kind with
+  | Span.Retry | Span.Escalated | Span.Trap -> true
+  | _ -> s.sp_fault <> None
+
+let pp_span b ~names (s : Span.t) =
+  Printf.bprintf b
+    "    #%d %-9s %-12s obj %-6d %s@%d.%d  %d..%d (%d cy" s.Span.sp_id
+    (Span.kind_name s.sp_kind) (names s.sp_ds) s.sp_obj s.sp_fn s.sp_block
+    s.sp_instr s.sp_issued s.sp_complete
+    (Span.stall s);
+  let ph name v = if v > 0 then Printf.bprintf b " %s=%d" name v in
+  ph "queued" s.sp_queued;
+  ph "proto" s.sp_proto;
+  ph "wire" s.sp_wire;
+  ph "retry" s.sp_retry;
+  ph "pf-wait" s.sp_pf_wait;
+  ph "trap" s.sp_trap;
+  if s.sp_qp >= 0 then Printf.bprintf b " qp%d" s.sp_qp;
+  (match s.sp_fault with
+  | Some f -> Printf.bprintf b " fault:%s" f
+  | None -> ());
+  (match s.sp_edge with
+  | Some e -> Printf.bprintf b " %s->#%d" (Span.edge_name e) s.sp_parent
+  | None -> ());
+  Buffer.add_string b ")\n"
+
+let postmortem ?(reason = "post-mortem requested") ?degrade_level ~names c =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "-- flight recorder post-mortem: %s\n" reason;
+  (match degrade_level with
+  | Some l -> Printf.bprintf b "   degradation window: level %d\n" l
+  | None -> ());
+  let n_flagged = ref 0 and last = ref None in
+  Span.iter
+    (fun s ->
+      if flagged s then begin
+        incr n_flagged;
+        last := Some s
+      end)
+    c;
+  Printf.bprintf b "   %d spans recorded, %d flagged\n" (Span.length c)
+    !n_flagged;
+  (match !last with
+  | None -> Buffer.add_string b "   no flagged span: nothing retried, escalated or trapped\n"
+  | Some s ->
+    Printf.bprintf b "   causal chain of last flagged span (#%d, %s):\n"
+      s.sp_id (Span.kind_name s.sp_kind);
+    let chain = Span.chain c s in
+    List.iter (pp_span b ~names) chain;
+    (* The chain only walks ancestors; the trouble usually hangs off
+       the root as children (retries of an escalated fetch) — show
+       every other flagged span and its ancestors too, newest first.
+       An ancestor of a marked span is already marked, so each mark
+       walk stops at the first one. *)
+    let trouble = Array.make (Span.id_bound c) false in
+    let rec mark (s : Span.t) =
+      if not trouble.(s.sp_id) then begin
+        trouble.(s.sp_id) <- true;
+        if s.sp_parent >= 0 then Option.iter mark (Span.find c s.sp_parent)
+      end
+    in
+    Span.iter (fun s -> if flagged s then mark s) c;
+    List.iter (fun (s : Span.t) -> trouble.(s.sp_id) <- false) chain;
+    let rest = Array.fold_left (fun n m -> if m then n + 1 else n) 0 trouble in
+    if rest > 0 then begin
+      let shown = min rest 16 in
+      Printf.bprintf b "   pinned trouble spans (%d of %d):\n" shown rest;
+      let left = ref shown and id = ref (Array.length trouble - 1) in
+      while !left > 0 do
+        if trouble.(!id) then begin
+          Option.iter (pp_span b ~names) (Span.find c !id);
+          decr left
+        end;
+        decr id
+      done
+    end);
+  let n = Span.length c in
+  let shown = min n 16 in
+  Printf.bprintf b "   last %d completed spans (of %d retained):\n" shown n;
+  let tail = ref [] and pos = ref 0 in
+  Span.iter
+    (fun s ->
+      if !pos >= n - shown then tail := s :: !tail;
+      incr pos)
+    c;
+  List.iter (pp_span b ~names) !tail;
+  Buffer.contents b
 
 (* ---------- human tables ---------- *)
 

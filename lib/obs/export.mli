@@ -4,49 +4,45 @@
     {{:https://ui.perfetto.dev}Perfetto}: each data structure becomes
     its own thread row (faults and late prefetches as duration spans,
     prefetch/eviction/policy events as instants) and the interpreter's
-    simulated call stack nests on thread 0. *)
+    simulated call stack nests on thread 0.
 
-val event_json : Event.t -> Cards_util.Json.t
+    The file exporters stream: each writes its document piece by piece
+    through an emitter ([output_string oc] for a file, [Buffer.add_string
+    b] for a string) while it walks, so a full-rate span graph is never
+    rendered into memory as a whole. *)
 
-val events_jsonl : Trace.t -> string
+val events_jsonl : (string -> unit) -> Trace.t -> unit
 (** One JSON object per line, oldest event first. *)
-
-val sample_json : Metrics.sample -> Cards_util.Json.t
 
 val metrics_jsonl : Metrics.t -> string
 
-val metrics_csv : Metrics.t -> string
+val metrics_csv : (string -> unit) -> Metrics.t -> unit
 (** Header line plus one row per sample, every sample field in order —
     loads directly into pandas / gnuplot for rate plots. *)
 
 val chrome_trace :
-  ?freq_ghz:float -> ?names:(int -> string) -> Trace.t -> Cards_util.Json.t
+  ?freq_ghz:float -> ?names:(int -> string) -> (string -> unit) -> Trace.t ->
+  unit
 (** [freq_ghz] (default 2.4, the paper's Xeon) converts cycle stamps
     to the format's microsecond timestamps; [names] labels the
     per-structure thread rows. *)
 
-val chrome_trace_string :
-  ?freq_ghz:float -> ?names:(int -> string) -> Trace.t -> string
-
-val span_json : Span.t -> Cards_util.Json.t
-
-val spans_jsonl : Span.collector -> string
+val spans_jsonl : (string -> unit) -> Span.collector -> unit
 (** One JSON object per line, completion order. *)
 
 val spans_chrome_trace :
   ?freq_ghz:float ->
   ?names:(int -> string) ->
+  (string -> unit) ->
   Span.collector ->
-  Cards_util.Json.t
+  unit
 (** Spans as Chrome "X" events — fabric-carrying spans on their queue
     pair's row, CPU-side spans on their structure's row — with every
     causal parent edge rendered as a flow arrow ("s"/"f" pair), so
     Perfetto draws chains across rows. *)
 
-val spans_chrome_trace_string :
-  ?freq_ghz:float -> ?names:(int -> string) -> Span.collector -> string
-
-val spans_folded : ?names:(int -> string) -> Span.collector -> string
+val spans_folded :
+  ?names:(int -> string) -> (string -> unit) -> Span.collector -> unit
 (** Folded-stack flamegraph lines ([root;child;...;leaf cycles], one
     per distinct causal stack, sorted): each stall-carrying span's
     cycles aggregate under its parent chain, so [flamegraph.pl] or
@@ -63,7 +59,15 @@ val critical_path_table :
     stall and dominant phase — closed by a CHAIN row (total stall and
     phase split) and an ANALYZED row (span count, stall by structure). *)
 
-val write_file : string -> string -> unit
+val postmortem :
+  ?reason:string -> ?degrade_level:int -> names:(int -> string) ->
+  Span.collector -> string
+(** The post-mortem report over the spans recorded so far: a header
+    (spans recorded, spans flagged — retried, escalated, trapped or
+    faulted), the root-first causal chain of the last flagged span with
+    per-span phase splits, the other flagged spans and their ancestors
+    (newest first, up to 16), and the last 16 completed spans.
+    [names] maps a structure handle to its name. *)
 
 val profile_table :
   ?title:string ->

@@ -99,5 +99,5 @@ val merged_latency : t -> Cards_util.Stats.t
 
 val merged_hist : t -> int array
 (** Octave (log₂) view of {!merged_latency}: bucket [i] counts
-    latencies in [2^i, 2^(i+1)).  Length
-    {!Cards_util.Stats.log2_buckets}. *)
+    latencies in [2^i, 2^(i+1)).  Same length as
+    {!Cards_util.Stats.log2_counts}. *)

@@ -28,10 +28,6 @@ type violation =
           empty file, an old-schema file, or sections that record
           nothing; a gate that compared nothing must not pass *)
 
-val metrics_of_record : Cards_util.Json.t -> (string * float) list
-(** Every numeric member of one record object, in file order.  Metrics
-    added to the snapshot later join the gate automatically. *)
-
 val records_of_snapshot : Cards_util.Json.t -> (string * Cards_util.Json.t) list
 (** Tagged records of a snapshot document, in file order. *)
 

@@ -1,7 +1,7 @@
 (** The single chokepoint for human-readable diagnostics.
 
-    Library code (the runtime's fault summary, the flight recorder's
-    post-mortem) never writes to [stderr] directly: it writes through
+    Library code (the runtime's fault summary, the span post-mortem)
+    never writes to [stderr] directly: it writes through
     the reporter carried by the {!Sink}, which is {!null} — silent —
     unless the embedder opted in.  The CLI installs {!stderr_reporter}
     so interactive runs keep their summaries, while tests and the

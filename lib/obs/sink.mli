@@ -2,9 +2,8 @@
 
     A sink bundles an optional event ring ({!Trace}), an optional
     metrics series ({!Metrics}), an optional causal span collector
-    ({!Span}) with its optional flight recorder ({!Recorder}), and
-    the {!Reporter} through which all human-readable diagnostics
-    flow.  The default {!null} sink has none of them: instrumented
+    ({!Span}), and the {!Reporter} through which all human-readable
+    diagnostics flow.  The default {!null} sink has none of them: instrumented
     call sites check {!tracing} / {!sampling} (one cached boolean
     load) or match on {!spans} before constructing anything, so a run
     without observability does no extra allocation and follows the
@@ -20,18 +19,16 @@ val create :
   ?trace_capacity:int ->
   ?metrics_interval:int ->
   ?span_rate:float ->
-  ?recorder_capacity:int ->
   ?postmortem:bool ->
   ?reporter:Reporter.t ->
   unit ->
   t
 (** Tracing is enabled iff [trace_capacity] is given; metric sampling
     iff [metrics_interval] (cycles) is given; span collection iff
-    [span_rate] is given (1.0 = every occasion) or a recorder is
-    requested.  A flight recorder is attached iff [recorder_capacity]
-    or [postmortem] is given; [postmortem] additionally arms a
-    one-shot post-mortem dump through [reporter] on the first trap or
-    reliable-channel escalation.  [reporter] defaults to
+    [span_rate] is given (1.0 = every occasion) or [postmortem] is
+    set.  [postmortem] arms a one-shot post-mortem dump of the
+    collector ({!Export.postmortem}) through [reporter] on the first
+    trap or reliable-channel escalation.  [reporter] defaults to
     {!Reporter.null} — embedders that want human-readable summaries
     must opt in (the CLI passes {!Reporter.stderr_reporter}). *)
 
@@ -47,7 +44,6 @@ val metrics_due : t -> now:int -> bool
 val trace : t -> Trace.t option
 val metrics : t -> Metrics.t option
 val spans : t -> Span.collector option
-val recorder : t -> Recorder.t option
 val reporter : t -> Reporter.t
 
 val take_postmortem : t -> bool

@@ -60,9 +60,9 @@ type collector = {
   c_rate : float;
   mutable c_acc : float;  (* sampling accumulator, in [0, 1) *)
   mutable c_next : int;  (* next span id *)
-  c_spans : t Vec.t;
+  c_spans : t Vec.t;  (* completion order *)
+  c_index : int Vec.t;  (* id -> position in c_spans, -1 if absent *)
   c_inflight : (int * int, int) Hashtbl.t;  (* (ds, obj) -> span id *)
-  mutable c_listener : (t -> unit) option;
 }
 
 let create ?(rate = 1.0) () =
@@ -70,8 +70,8 @@ let create ?(rate = 1.0) () =
     c_acc = 0.0;
     c_next = 0;
     c_spans = Vec.create ();
-    c_inflight = Hashtbl.create 64;
-    c_listener = None }
+    c_index = Vec.create ();
+    c_inflight = Hashtbl.create 64 }
 
 let sampled c =
   c.c_rate >= 1.0
@@ -87,17 +87,40 @@ let fresh c =
   c.c_next <- id + 1;
   id
 
+(* Only allocated ids are indexed: a span claiming any other id is
+   stored (so [well_formed] can reject it) but never found. *)
 let add c s =
-  ignore (Vec.push c.c_spans s);
-  match c.c_listener with Some f -> f s | None -> ()
+  let pos = Vec.push c.c_spans s in
+  if s.sp_id >= 0 && s.sp_id < c.c_next then begin
+    Vec.ensure c.c_index (s.sp_id + 1) (-1);
+    Vec.set c.c_index s.sp_id pos
+  end
 
 let length c = Vec.length c.c_spans
 
-let spans c = Vec.to_list c.c_spans
-
 let iter f c = Vec.iteri (fun _ s -> f s) c.c_spans
 
-let set_listener c f = c.c_listener <- Some f
+let id_bound c = c.c_next
+
+let position c id =
+  if id >= 0 && id < Vec.length c.c_index then Vec.get c.c_index id else -1
+
+let find c id =
+  let pos = position c id in
+  if pos >= 0 then Some (Vec.get c.c_spans pos) else None
+
+let iter_by_id f c =
+  Vec.iteri (fun _ pos -> if pos >= 0 then f (Vec.get c.c_spans pos)) c.c_index
+
+(* Parents are strictly older ids, so the walk terminates; the guard
+   keeps a malformed (self or forward) edge from looping. *)
+let chain c s =
+  let rec up acc s =
+    let acc = s :: acc in
+    if s.sp_parent < 0 || s.sp_parent >= s.sp_id then acc
+    else match find c s.sp_parent with Some p -> up acc p | None -> acc
+  in
+  up [] s
 
 let note_inflight c ~ds ~obj ~span = Hashtbl.replace c.c_inflight (ds, obj) span
 
@@ -145,17 +168,17 @@ let cpu_totals c =
     tot_pf_wait = !pf_wait;
     tot_trap = !trap }
 
+(* A span whose id is out of range is unindexed, and of two spans
+   sharing an id only the later is indexed: either way some position
+   is not the one its id maps to. *)
 let well_formed c =
-  let seen = Hashtbl.create (length c) in
   let ok = ref true in
-  iter
-    (fun s ->
-      if Hashtbl.mem seen s.sp_id then ok := false;
-      Hashtbl.replace seen s.sp_id ();
-      if s.sp_id < 0 || s.sp_id >= c.c_next then ok := false;
+  Vec.iteri
+    (fun pos s ->
+      if position c s.sp_id <> pos then ok := false;
       if s.sp_parent < -1 || s.sp_parent >= s.sp_id then ok := false;
       match s.sp_edge with
       | Some _ -> if s.sp_parent < 0 then ok := false
       | None -> if s.sp_parent >= 0 then ok := false)
-    c;
+    c.c_spans;
   !ok

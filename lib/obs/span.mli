@@ -22,8 +22,8 @@
     exists before its retry children, the batch id before its
     members, the trap id before the nested fetch), so the edge
     relation is acyclic by construction: [sp_parent < sp_id] always,
-    and one forward pass in id order suffices for chain costs
-    ({!Critical_path}).
+    and one forward pass in id order ({!iter_by_id}) suffices for
+    chain costs ({!Critical_path}).
 
     The runtime builds the five stall-carrying kinds ({!Demand},
     {!Escalated}, {!Retry}, {!Pf_settle}, {!Trap}) at one close point,
@@ -129,18 +129,33 @@ val fresh : collector -> int
     must be allocated before children. *)
 
 val add : collector -> t -> unit
-(** Record a completed span (and notify the listener, if any). *)
+(** Record a completed span and index it under its id.  The collector
+    is the only store of the span graph: the critical path, the
+    what-if replay, the span exporters and the post-mortem all read it
+    through {!find}, {!iter_by_id} and {!chain}. *)
 
 val length : collector -> int
-val spans : collector -> t list
+(** Spans recorded so far. *)
+
+val iter : (t -> unit) -> collector -> unit
 (** In completion (add) order, which is not id order: a demand root's
     id is allocated before its retry children but added after them. *)
 
-val iter : (t -> unit) -> collector -> unit
+val id_bound : collector -> int
+(** Ids allocated so far: every recorded id is below it, so an array
+    of this length keyed by span id covers the whole graph. *)
 
-val set_listener : collector -> (t -> unit) -> unit
-(** Called on every {!add}; how {!Sink} subscribes the flight
-    recorder without a module cycle. *)
+val find : collector -> int -> t option
+(** The span recorded under an id; [None] for an id never recorded
+    (sampled out, allocated but not yet completed, or [-1]). *)
+
+val iter_by_id : (t -> unit) -> collector -> unit
+(** In ascending id order, so every recorded parent comes before its
+    children: the forward pass {!Critical_path} and {!Whatif} make. *)
+
+val chain : collector -> t -> t list
+(** Root-first causal chain of a span: its recorded ancestors, then
+    the span itself.  Stops at the first parent not recorded. *)
 
 (** {1 In-flight prefetch registry}
 

@@ -18,9 +18,12 @@ let length t = min t.added t.cap
 
 let dropped t = max 0 (t.added - t.cap)
 
-let to_list t =
-  let n = length t in
-  let first = if t.added <= t.cap then 0 else t.added mod t.cap in
-  List.init n (fun i -> t.buf.((first + i) mod t.cap))
+let oldest t = if t.added <= t.cap then 0 else t.added mod t.cap
 
-let iter f t = List.iter f (to_list t)
+let to_list t = List.init (length t) (fun i -> t.buf.((oldest t + i) mod t.cap))
+
+let iter f t =
+  let first = oldest t in
+  for i = 0 to length t - 1 do
+    f t.buf.((first + i) mod t.cap)
+  done

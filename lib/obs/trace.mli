@@ -17,6 +17,7 @@ val to_list : t -> Event.t list
 (** Retained events, oldest first. *)
 
 val iter : (Event.t -> unit) -> t -> unit
+(** Retained events, oldest first, without building a list. *)
 
 val length : t -> int
 (** Events currently retained. *)

@@ -76,30 +76,24 @@ let scenario_of_factors ~id ~label ?(scope = Global) ?(exec = Exec_none)
    Under unit factors every delta is zero by construction, which is
    what makes the identity scenario exact. *)
 let predict ~total col sc =
-  let spans =
-    List.sort (fun (a : Span.t) b -> compare a.sp_id b.sp_id) (Span.spans col)
-  in
   let fs (s : Span.t) =
     match sc.sc_scope with
     | Global -> sc.sc_factors
     | Ds h -> if s.sp_ds = h then sc.sc_factors else unit_factors
   in
-  let n = max 16 (Span.length col) in
+  let n = Span.id_bound col in
   let cpu_shift = ref 0 in
   let qp_save : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let new_complete : (int, int) Hashtbl.t = Hashtbl.create n in
-  (* batch id -> (new start-of-wire base, wire factor): members place
-     their completions at base + scaled cumulative serialization. *)
-  let batch_base : (int, int * float) Hashtbl.t = Hashtbl.create 16 in
-  let by_id : (int, Span.t) Hashtbl.t = Hashtbl.create n in
-  let chain : (int, int) Hashtbl.t = Hashtbl.create n in
+  (* Per span id: the re-priced completion of a fabric-carrying span
+     ([no_complete] for every other id) and the re-priced chain cost
+     (0 for an unrecorded parent). *)
+  let no_complete = min_int in
+  let new_complete = Array.make n no_complete in
+  let chain = Array.make n 0 in
   let best_chain = ref 0 in
   let note_chain (s : Span.t) ns =
-    let pc =
-      match Hashtbl.find_opt chain s.sp_parent with Some c -> c | None -> 0
-    in
-    let c = ns + pc in
-    Hashtbl.replace chain s.sp_id c;
+    let c = ns + if s.sp_parent >= 0 then chain.(s.sp_parent) else 0 in
+    chain.(s.sp_id) <- c;
     if c > !best_chain then best_chain := c
   in
   (* Re-price a span that occupied a queue pair.  The attempt's
@@ -127,9 +121,8 @@ let predict ~total col sc =
       Hashtbl.replace qp_save s.sp_qp (old_busy_end - new_busy_end);
     (queued', proto', wire', new_busy_end)
   in
-  List.iter
+  Span.iter_by_id
     (fun (s : Span.t) ->
-      Hashtbl.replace by_id s.sp_id s;
       let f = fs s in
       match s.sp_kind with
       | Span.Demand | Span.Escalated ->
@@ -141,42 +134,41 @@ let predict ~total col sc =
           + scale_phase f.f_trap s.sp_trap
         in
         cpu_shift := !cpu_shift + (Span.stall s - new_stall);
-        Hashtbl.replace new_complete s.sp_id nc;
+        new_complete.(s.sp_id) <- nc;
         note_chain s new_stall
       | Span.Batch ->
         let q', p', w', nc = occupancy s f in
-        Hashtbl.replace new_complete s.sp_id nc;
-        Hashtbl.replace batch_base s.sp_id (nc - w', f.f_wire);
+        new_complete.(s.sp_id) <- nc;
         note_chain s (q' + p' + w')
       | Span.Prefetch -> (
         match s.sp_edge with
         | Some Span.E_member ->
-          (* Zero-phase member: its completion is the batch's wire
-             base plus its own cumulative serialization share,
-             recovered from the recorded offsets. *)
+          (* Zero-phase member: its completion is the batch's new
+             start-of-wire base plus its own cumulative serialization
+             share, recovered from the recorded offsets and scaled by
+             the batch's wire factor. *)
           let nc =
-            match
-              ( Hashtbl.find_opt batch_base s.sp_parent,
-                Hashtbl.find_opt by_id s.sp_parent )
-            with
-            | Some (base, fw), Some b ->
+            match Span.find col s.sp_parent with
+            | Some b when b.sp_kind = Span.Batch ->
+              let fw = (fs b).f_wire in
+              let base = new_complete.(b.sp_id) - scale_phase fw b.sp_wire in
               let cum = max 0 (s.sp_complete - (b.sp_start + b.sp_proto)) in
               base + scale_phase fw cum
             | _ -> s.sp_complete - !cpu_shift
           in
-          Hashtbl.replace new_complete s.sp_id nc;
+          new_complete.(s.sp_id) <- nc;
           note_chain s 0
         | _ ->
           let q', p', w', nc = occupancy s f in
-          Hashtbl.replace new_complete s.sp_id nc;
+          new_complete.(s.sp_id) <- nc;
           note_chain s (q' + p' + w'))
       | Span.Pf_settle ->
         let access = s.sp_issued - !cpu_shift in
         let raw =
-          match Hashtbl.find_opt new_complete s.sp_parent with
-          | Some pnc when s.sp_edge = Some Span.E_satisfy ->
-            max 0 (pnc - access)
-          | _ -> s.sp_pf_wait
+          if s.sp_edge = Some Span.E_satisfy
+             && new_complete.(s.sp_parent) <> no_complete
+          then max 0 (new_complete.(s.sp_parent) - access)
+          else s.sp_pf_wait
         in
         let new_wait = scale_phase f.f_pf_wait raw in
         cpu_shift := !cpu_shift + (s.sp_pf_wait - new_wait);
@@ -198,7 +190,7 @@ let predict ~total col sc =
         cpu_shift := !cpu_shift + (s.sp_trap - new_stall);
         note_chain s new_stall
       | Span.Pf_hit -> note_chain s 0)
-    spans;
+    col;
   let predicted = max 0 (total - !cpu_shift) in
   { p_scenario = sc;
     p_baseline = total;

@@ -8,16 +8,11 @@
     untracked allocations), making the custody check a single shift:
     [addr lsr offset_bits <> 0]. *)
 
-val handle_bits : int
-(** 16 *)
-
 val offset_bits : int
 (** 47 *)
 
 val max_handle : int
 (** Largest encodable data-structure handle. *)
-
-val max_offset : int
 
 val encode : ds:int -> offset:int -> int
 (** [encode ~ds ~offset] tags a pool offset with handle [ds] (≥ 1).

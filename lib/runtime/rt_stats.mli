@@ -26,8 +26,6 @@ type ds = {
           abandoned; the runtime mirrors that rule per handle). *)
 }
 
-val make_ds : unit -> ds
-
 type t
 
 val create : unit -> t

@@ -8,7 +8,7 @@ module Profile = Cards_obs.Profile
 module Metrics = Cards_obs.Metrics
 module Attribution = Cards_obs.Attribution
 module Span = Cards_obs.Span
-module Recorder = Cards_obs.Recorder
+module Export = Cards_obs.Export
 module Reporter = Cards_obs.Reporter
 
 type prefetch_mode = Pf_none | Pf_stride_only | Pf_per_class | Pf_adaptive
@@ -390,11 +390,11 @@ let ds_name t handle =
    reliable-channel escalation. *)
 let maybe_postmortem t ~reason =
   if Sink.take_postmortem t.obs then
-    match Sink.recorder t.obs with
-    | Some r ->
+    match Sink.spans t.obs with
+    | Some c ->
       Reporter.text (Sink.reporter t.obs)
-        (Recorder.postmortem ~reason ~degrade_level:t.degrade
-           ~names:(ds_name t) r)
+        (Export.postmortem ~reason ~degrade_level:t.degrade
+           ~names:(ds_name t) c)
     | None -> ()
 
 (* ---------- metrics sampling ---------- *)

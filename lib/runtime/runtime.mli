@@ -255,7 +255,7 @@ val namespace : t -> string
 (** The configured tenant namespace ([""] for the root namespace). *)
 
 val maybe_postmortem : t -> reason:string -> unit
-(** Dump the flight recorder's post-mortem through the sink's
+(** Dump the post-mortem of the sink's span collector through its
     reporter if the sink was created with [~postmortem:true] and the
     one-shot latch is still armed; a no-op otherwise.  The runtime
     fires this itself on a reliable-channel escalation; the

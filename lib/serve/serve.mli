@@ -86,17 +86,6 @@ val drive :
     by swapping [serve] from "execute now" ({!Tenant.serve_next}) to
     "commit the worker's next completion record". *)
 
-val kv_spec :
-  name:string -> seed:int -> requests:int -> mean_gap:float ->
-  fault_rate:float -> Tenant.spec
-(** 2048-key / 256-bucket kv store under the standard get/put/scan
-    mix. *)
-
-val analytics_spec :
-  name:string -> seed:int -> requests:int -> mean_gap:float ->
-  fault_rate:float -> Tenant.spec
-(** 600-trip analytics column store under the Zipf query mix. *)
-
 val zipf_mix :
   ?faulty:int * float ->
   n:int -> seed:int -> requests:int -> base_gap:float -> unit ->

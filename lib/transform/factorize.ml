@@ -12,6 +12,9 @@ module ISet = Set.Make (Int)
 
 let chunk_bits = 10
 let chunk = 1 lsl chunk_bits
+(* Chunk-pointer slots in a side-pool directory; [chunk * dir_slots]
+   caps the cold records per structure group (guards trap on overflow
+   rather than corrupting). *)
 let dir_slots = 1024
 
 (* A field is hot when it draws at least a quarter of the hottest

@@ -42,8 +42,3 @@ val soa_last_run : unit -> int
 
 val chunk : int
 (** Cold records per side-pool chunk (a power of two). *)
-
-val dir_slots : int
-(** Chunk-pointer slots in a side-pool directory; [chunk * dir_slots]
-    caps the cold records per structure group (guards trap on
-    overflow rather than corrupting). *)

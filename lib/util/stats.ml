@@ -82,7 +82,6 @@ let count t = t.n
 let sum t = t.f.total
 let mean t = if t.n = 0 then 0.0 else t.f.mean_acc
 let variance t = if t.n < 2 then 0.0 else t.f.m2 /. float_of_int t.n
-let stddev t = sqrt (variance t)
 let min t = t.f.lo
 let max t = t.f.hi
 
@@ -157,5 +156,3 @@ let log2_counts t =
     acc.((i - 1) / subs) <- acc.((i - 1) / subs) + t.hist.(i)
   done;
   acc
-
-let log2_buckets = octaves

@@ -36,8 +36,6 @@ val mean : t -> float
 val variance : t -> float
 (** Population variance (Welford); 0 when fewer than 2 observations. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** Smallest observation; [infinity] when empty.  Exact. *)
 
@@ -66,6 +64,4 @@ val merge : t -> t -> t
 val log2_counts : t -> int array
 (** Octave view for ASCII histograms: index [e] counts observations in
     [[2^e, 2^(e+1))]] (sub-1.0 observations fold into index 0).
-    Length {!log2_buckets}. *)
-
-val log2_buckets : int
+    Length 60, one per octave up to [2^60]. *)

@@ -17,9 +17,6 @@
     passenger count), which is exactly the asymmetry per-structure
     remoting policies exploit. *)
 
-val n_zones : int
-val n_hours : int
-
 val source : trips:int -> query_passes:int -> string
 (** MiniC source.  [trips] = row count; [query_passes] = how many
     times the query battery runs (hot/cold contrast grows with it). *)

@@ -3,8 +3,9 @@
 # observability smoke run (compile + execute a bundled example with
 # tracing, spans in every export format, metrics, and the
 # cycle-attribution profile on, then make sure every emitted file is
-# non-empty and the Chrome traces are trace_event files), and the bench
-# regression gate: the nine gated sections of bench/main.exe run in one
+# non-empty and the Chrome traces are trace_event files, plus a faulting
+# --postmortem run whose post-mortem header must reach stderr), and the
+# bench regression gate: the nine gated sections of bench/main.exe run in one
 # process, hard-assert the claims their comments in bench/main.ml list,
 # and diff the fresh snapshot against the committed BENCH.json (2%
 # relative tolerance).  The bench runs from a release build: the host
@@ -12,7 +13,9 @@
 # the reference interpreter, which only means anything with
 # optimizations on (the cycle metrics are deterministic and
 # profile-independent, so sharing the binary costs nothing).  The
-# allocation-free tests also run from a release build of the suite.
+# allocation-free tests also run from a release build of the suite, and
+# a full-rate span run (2.7M spans, every exporter on) must finish
+# under a 4 GB address-space limit.
 #
 # The snapshot refresh is atomic: the fresh snapshot goes to a temp
 # directory and replaces BENCH.json only after every later step has
@@ -111,6 +114,16 @@ for f in trace.json spans.json; do
     echo "check.sh: $f is not a Chrome trace_event file" >&2; exit 1; }
 done
 
+echo "== smoke: --postmortem on a faulting run that escalates"
+# At fault rate 0.1 with one retry, listing1 under 64K local memory
+# escalates a fetch to the reliable channel, which dumps the post-mortem
+# of the span collector to stderr.
+dune exec --no-build bin/cards_cli.exe -- run examples/minic/listing1.mc \
+  --local 64K --remotable 16K --fault-rate 0.1 --retry-max 1 --postmortem \
+  > /dev/null 2> "$smoke/postmortem.txt"
+grep -q "spans recorded, .* flagged" "$smoke/postmortem.txt" || {
+  echo "check.sh: no post-mortem header on stderr" >&2; exit 1; }
+
 if [ "$quick" = yes ]; then
   echo "== non-test line ledger (information only)"
   scripts/loc.sh
@@ -118,14 +131,27 @@ if [ "$quick" = yes ]; then
   exit 0
 fi
 
-echo "== dune build (release, for the bench gate)"
-dune build --profile release bench/main.exe
+echo "== dune build (release, for the bench gate and the full-rate span run)"
+dune build --profile release bench/main.exe bin/cards_cli.exe
 
 echo "== bench: regression gate (BENCH.json, 2% tolerance)"
 _build/default/bench/main.exe fabric attr faults spans whatif layout host serve par \
   --json "$tmpdir/BENCH.json" --compare BENCH.json --tolerance 0.02 > /dev/null
 test -s "$tmpdir/BENCH.json" || {
   echo "check.sh: empty BENCH.json from the bench gate" >&2; exit 1; }
+
+echo "== full-rate spans of a 7M-instruction run stream within 4 GB"
+# fig9_list at 64K local memory records 2.7M spans at rate 1.0; every
+# exporter streams them to its file, so the run fits under a 4 GB
+# address-space limit (a suffix-less --spans path is a Chrome trace).
+(
+  ulimit -v 4000000
+  _build/default/bin/cards_cli.exe run examples/minic/fig9_list.mc \
+    --local 64K --remotable 16K --fault-rate 0 --retry-max 1 \
+    --span-rate 1.0 --spans /dev/null --events /dev/null --trace /dev/null \
+    --postmortem > /dev/null 2>&1
+) || { echo "check.sh: full-rate span export failed under ulimit -v 4000000" >&2
+       exit 1; }
 
 echo "== full suite at both ends of the domain matrix"
 # The whole test binary twice, with the par differential tests pinned

@@ -29,6 +29,12 @@ let pressure_cfg =
 let full_sink () =
   O.Sink.create ~trace_capacity:200_000 ~metrics_interval:100_000 ()
 
+(* Run a streaming exporter into a string. *)
+let rendered export =
+  let b = Buffer.create 4096 in
+  export (Buffer.add_string b);
+  Buffer.contents b
+
 (* ---------- cycle attribution ---------- *)
 
 let test_attribution_sums_to_total () =
@@ -149,11 +155,12 @@ let golden_exports ~variant ~scale =
   let c = Option.get (O.Sink.spans obs) in
   List.map
     (fun (ext, contents) -> (Printf.sprintf "%s_faulty.%s" variant ext, contents))
-    [ ("events.jsonl", O.Export.events_jsonl tr);
-      ("events.json", O.Export.chrome_trace_string ~names tr);
-      ("spans.jsonl", O.Export.spans_jsonl c);
-      ("spans.folded", O.Export.spans_folded ~names c);
-      ("spans.json", O.Export.spans_chrome_trace_string ~names c) ]
+    [ ("events.jsonl", rendered (fun out -> O.Export.events_jsonl out tr));
+      ("events.json", rendered (fun out -> O.Export.chrome_trace ~names out tr));
+      ("spans.jsonl", rendered (fun out -> O.Export.spans_jsonl out c));
+      ("spans.folded", rendered (fun out -> O.Export.spans_folded ~names out c));
+      ("spans.json",
+       rendered (fun out -> O.Export.spans_chrome_trace ~names out c)) ]
 
 let test_exports_golden () =
   List.iter
@@ -408,7 +415,8 @@ let test_chrome_trace_roundtrips () =
   let obs = full_sink () in
   let _, rt = P.run ~obs (Lazy.force chase) pressure_cfg in
   let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
-  let s = O.Export.chrome_trace_string ~names:(R.Runtime.ds_name rt) tr in
+  let s = rendered (fun out ->
+        O.Export.chrome_trace ~names:(R.Runtime.ds_name rt) out tr) in
   let j = J.parse s in
   let events =
     match J.member "traceEvents" j with
@@ -458,7 +466,7 @@ let test_events_jsonl_parses () =
   let _ = P.run ~obs (Lazy.force chase) pressure_cfg in
   let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
   let lines =
-    String.split_on_char '\n' (O.Export.events_jsonl tr)
+    String.split_on_char '\n' (rendered (fun out -> O.Export.events_jsonl out tr))
     |> List.filter (fun l -> l <> "")
   in
   check Alcotest.int "one line per event" (O.Trace.length tr)
@@ -499,7 +507,7 @@ let test_prefetch_and_batch_events_roundtrip () =
   let _ = P.run ~obs (Lazy.force chase) pressure_cfg in
   let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
   let lines =
-    String.split_on_char '\n' (O.Export.events_jsonl tr)
+    String.split_on_char '\n' (rendered (fun out -> O.Export.events_jsonl out tr))
     |> List.filter (fun l -> l <> "")
     |> List.map J.parse
   in
@@ -544,7 +552,8 @@ let test_chrome_trace_qp_rows () =
   let obs = full_sink () in
   let _, rt = P.run ~obs (Lazy.force chase) pressure_cfg in
   let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
-  let s = O.Export.chrome_trace_string ~names:(R.Runtime.ds_name rt) tr in
+  let s = rendered (fun out ->
+        O.Export.chrome_trace ~names:(R.Runtime.ds_name rt) out tr) in
   let j = J.parse s in
   let events =
     match Option.bind (J.member "traceEvents" j) J.to_list_opt with
@@ -586,14 +595,14 @@ let test_chrome_trace_qp_rows () =
    latencies at all (e.g. a pure-compute program). *)
 let test_exporters_on_zero_event_run () =
   let tr = O.Trace.create ~capacity:16 in
-  let s = O.Export.chrome_trace_string tr in
+  let s = rendered (fun out -> O.Export.chrome_trace out tr) in
   let j = J.parse s in
   (match Option.bind (J.member "traceEvents" j) J.to_list_opt with
    | Some evs ->
      (* Only the process-name metadata record. *)
      check Alcotest.bool "only metadata" true (List.length evs <= 1)
    | None -> Alcotest.fail "no traceEvents");
-  check Alcotest.string "empty jsonl" "" (O.Export.events_jsonl tr);
+  check Alcotest.string "empty jsonl" "" (rendered (fun out -> O.Export.events_jsonl out tr));
   let attr = O.Attribution.create () in
   let prof = O.Profile.create attr in
   let names _ = "x" in
@@ -843,7 +852,7 @@ let test_json_rejects_garbage () =
       | _ -> Alcotest.fail ("accepted garbage: " ^ s))
     [ "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
 
-(* ---------- causal spans, critical path, flight recorder ---------- *)
+(* ---------- causal spans, critical path, post-mortem ---------- *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -938,24 +947,11 @@ let test_critical_path_synthetic_chain () =
     check Alcotest.int "span count" 3 r.O.Critical_path.r_span_count;
     check Alcotest.int "last completion" 150 r.O.Critical_path.r_end
 
-let test_recorder_ring_bound () =
-  let rec_ = O.Recorder.create ~capacity:8 () in
-  let col = O.Span.create () in
-  O.Span.set_listener col (O.Recorder.add rec_);
-  for _ = 1 to 100 do
-    ignore (mk_span col ~proto:1 ())
-  done;
-  check Alcotest.int "ring bounded" 8 (O.Recorder.ring_length rec_);
-  check Alcotest.int "nothing flagged" 0 (O.Recorder.flagged rec_);
-  check Alcotest.int "nothing pinned" 0 (O.Recorder.pinned_count rec_)
-
 let test_recorder_retains_flagged_chain () =
-  let rec_ = O.Recorder.create ~capacity:4 () in
   let col = O.Span.create () in
-  O.Span.set_listener col (O.Recorder.add rec_);
   (* Runtime order: the root id is allocated first but its span is
      added last (retries complete before the fetch they delayed), so
-     the recorder must pin the retry now and the root on arrival. *)
+     the chain is only found through the collector's id index. *)
   let root_id = O.Span.fresh col in
   let retry =
     mk_span col ~kind:O.Span.Retry ~parent:root_id ~edge:O.Span.E_retry
@@ -967,23 +963,21 @@ let test_recorder_retains_flagged_chain () =
       sp_edge = None; sp_retry = 0; sp_proto = 90; sp_fault = None }
   in
   O.Span.add col root;
-  (* Flood the ring far past capacity: the flagged chain must survive. *)
+  (* Many later unflagged completions: the flagged chain must survive. *)
   for _ = 1 to 50 do
     ignore (mk_span col ~proto:1 ())
   done;
-  check Alcotest.int "ring still bounded" 4 (O.Recorder.ring_length rec_);
-  check Alcotest.int "both flagged" 2 (O.Recorder.flagged rec_);
   check Alcotest.bool "chain retained in full" true
-    (O.Recorder.chain_of rec_ retry = [ root; retry ]);
-  (match O.Recorder.last_flagged rec_ with
-   | Some s ->
-     check Alcotest.int "last flagged is the escalation" root_id
-       s.O.Span.sp_id
-   | None -> Alcotest.fail "no flagged span");
+    (O.Span.chain col retry = [ root; retry ]);
   let report =
-    O.Recorder.postmortem ~reason:"test escalation" ~degrade_level:3
-      ~names:(fun _ -> "mylist") rec_
+    O.Export.postmortem ~reason:"test escalation" ~degrade_level:3
+      ~names:(fun _ -> "mylist") col
   in
+  check Alcotest.bool "both flagged" true
+    (contains report "52 spans recorded, 2 flagged");
+  check Alcotest.bool "last flagged is the escalation" true
+    (contains report
+       (Printf.sprintf "last flagged span (#%d, escalated)" root_id));
   List.iter
     (fun needle ->
       check Alcotest.bool ("postmortem mentions " ^ needle) true
@@ -993,7 +987,6 @@ let test_recorder_retains_flagged_chain () =
 
 let test_sink_postmortem_one_shot () =
   let sink = O.Sink.create ~postmortem:true () in
-  check Alcotest.bool "recorder present" true (O.Sink.recorder sink <> None);
   check Alcotest.bool "collector implied" true (O.Sink.spans sink <> None);
   check Alcotest.bool "armed once" true (O.Sink.take_postmortem sink);
   check Alcotest.bool "latch consumed" false (O.Sink.take_postmortem sink);
@@ -1025,7 +1018,9 @@ let test_span_chrome_export_flow_events () =
   ignore
     (mk_span col ~kind:O.Span.Pf_settle ~parent:a.O.Span.sp_id
        ~edge:O.Span.E_satisfy ~pf_wait:5 ~issued:10 ());
-  let s = O.Export.spans_chrome_trace_string ~names:(fun _ -> "ds") col in
+  let s =
+    rendered (fun out -> O.Export.spans_chrome_trace ~names:(fun _ -> "ds") out col)
+  in
   let j = J.parse s in
   let events =
     match J.member "traceEvents" j with
@@ -1201,7 +1196,9 @@ let test_spans_folded_lines () =
   ignore
     (mk_span col ~kind:O.Span.Retry ~parent:a.O.Span.sp_id
        ~edge:O.Span.E_retry ~retry:25 ());
-  let s = O.Export.spans_folded ~names:(fun _ -> "my list") col in
+  let s =
+    rendered (fun out -> O.Export.spans_folded ~names:(fun _ -> "my list") out col)
+  in
   let lines = String.split_on_char '\n' (String.trim s) in
   (* Two distinct stacks: the demand alone, and the (aggregated) retry
      frames under it. *)
@@ -1217,7 +1214,7 @@ let test_metrics_csv_shape () =
   let obs = full_sink () in
   ignore (P.run ~obs (Lazy.force chase) pressure_cfg);
   let m = Option.get (O.Sink.metrics obs) in
-  let csv = O.Export.metrics_csv m in
+  let csv = rendered (fun out -> O.Export.metrics_csv out m) in
   let lines = String.split_on_char '\n' (String.trim csv) in
   check Alcotest.int "header + one row per sample"
     (O.Metrics.n_samples m + 1)
@@ -1289,6 +1286,178 @@ let test_spans_off_allocation_free () =
     (Float.abs (off -. base) < eps);
   check Alcotest.bool "hit path near allocation-free" true (base <= 3.0)
 
+(* ---------- the collector's id index ---------- *)
+
+(* A random span graph as the runtime builds one: [n] ids allocated in
+   order, each recorded or left out (allocated but never added), with
+   a random strictly-older parent (or none) and random phases, added
+   in a random completion order. *)
+let gen_span_graph =
+  QCheck.Gen.(
+    int_range 0 60 >>= fun n ->
+    list_repeat n
+      (quad bool (int_range (-1) 1000) (int_range 1 3)
+         (list_repeat 6 (frequency [ (1, return 0); (2, int_range 1 100) ])))
+    >>= fun specs ->
+    let kinds =
+      O.Span.[| Demand; Escalated; Retry; Prefetch; Batch; Pf_settle; Pf_hit; Trap |]
+    in
+    let spans =
+      List.mapi
+        (fun id (recorded, p, ds, ph) ->
+          let parent = if id = 0 || p < 0 then -1 else p mod id in
+          let ph = Array.of_list ph in
+          let issued = 7 * id in
+          ( recorded,
+            { O.Span.sp_id = id; sp_kind = kinds.((p + 1 + id) mod 8);
+              sp_parent = parent;
+              sp_edge = (if parent >= 0 then Some O.Span.E_trigger else None);
+              sp_ds = ds; sp_obj = id; sp_fn = "f"; sp_block = 0; sp_instr = 0;
+              sp_issued = issued; sp_start = issued;
+              sp_complete = issued + Array.fold_left ( + ) 0 ph;
+              sp_queued = ph.(0); sp_proto = ph.(1); sp_wire = ph.(2);
+              sp_retry = ph.(3); sp_pf_wait = ph.(4); sp_trap = ph.(5);
+              sp_qp = 0; sp_bytes = 64; sp_fault = None } ))
+        specs
+    in
+    shuffle_l (List.filter_map (fun (r, sp) -> if r then Some sp else None) spans)
+    >|= fun order -> (n, order))
+
+let arb_span_graph =
+  QCheck.make gen_span_graph ~print:(fun (n, order) ->
+      Printf.sprintf "%d ids, completion order [%s]" n
+        (String.concat ";"
+           (List.map (fun sp -> string_of_int sp.O.Span.sp_id) order)))
+
+let collector_of (n, order) =
+  let col = O.Span.create () in
+  for _ = 1 to n do
+    ignore (O.Span.fresh col)
+  done;
+  List.iter (O.Span.add col) order;
+  col
+
+let test_span_index_model =
+  QCheck.Test.make ~name:"span index equals a linear search" ~count:300
+    arb_span_graph (fun ((n, order) as g) ->
+      let col = collector_of g in
+      let by_id = ref [] in
+      O.Span.iter_by_id (fun sp -> by_id := sp :: !by_id) col;
+      let linear id = List.find_opt (fun sp -> sp.O.Span.sp_id = id) order in
+      let rec linear_chain acc (sp : O.Span.t) =
+        match linear sp.sp_parent with
+        | Some p when sp.sp_parent >= 0 -> linear_chain (sp :: acc) p
+        | _ -> sp :: acc
+      in
+      O.Span.well_formed col
+      && O.Span.length col = List.length order
+      && List.for_all
+           (fun id -> O.Span.find col id = linear id)
+           (List.init (n + 4) (fun i -> i - 2))
+      && List.rev !by_id
+         = List.sort (fun a b -> compare a.O.Span.sp_id b.O.Span.sp_id) order
+      && List.for_all (fun sp -> O.Span.chain col sp = linear_chain [] sp) order)
+
+(* The critical-path pass as it was before the collector kept an id
+   index: sort the spans by id, key chain costs and spans by id in
+   hash tables, walk the winner back to its root.  The reference the
+   index-based pass must agree with. *)
+let reference_critical_path col =
+  let all = ref [] in
+  O.Span.iter (fun sp -> all := sp :: !all) col;
+  if !all = [] then None
+  else begin
+    let open O.Critical_path in
+    let spans =
+      List.sort (fun (a : O.Span.t) b -> compare a.sp_id b.sp_id) (List.rev !all)
+    in
+    let by_id = Hashtbl.create 16 and cost = Hashtbl.create 16 in
+    let best = ref (-1) and best_cost = ref (-1) and last = ref 0 in
+    List.iter
+      (fun (s : O.Span.t) ->
+        Hashtbl.replace by_id s.sp_id s;
+        let pc = Option.value ~default:0 (Hashtbl.find_opt cost s.sp_parent) in
+        let ch = O.Span.stall s + pc in
+        Hashtbl.replace cost s.sp_id ch;
+        if ch > !best_cost then begin
+          best_cost := ch;
+          best := s.sp_id
+        end;
+        if s.sp_complete > !last then last := s.sp_complete)
+      spans;
+    let rec chain acc id =
+      match Hashtbl.find_opt by_id id with
+      | None -> acc
+      | Some (s : O.Span.t) -> chain (s :: acc) s.sp_parent
+    in
+    let ch = chain [] !best in
+    let sum f = List.fold_left (fun a s -> a + f s) 0 ch in
+    let ds_tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (s : O.Span.t) ->
+        Hashtbl.replace ds_tbl s.sp_ds
+          (Option.value ~default:0 (Hashtbl.find_opt ds_tbl s.sp_ds)
+           + O.Span.stall s))
+      ch;
+    Some
+      { r_chain = ch;
+        r_chain_stall = !best_cost;
+        r_phases =
+          { cp_queued = sum (fun s -> s.O.Span.sp_queued);
+            cp_proto = sum (fun s -> s.O.Span.sp_proto);
+            cp_wire = sum (fun s -> s.O.Span.sp_wire);
+            cp_retry = sum (fun s -> s.O.Span.sp_retry);
+            cp_pf_wait = sum (fun s -> s.O.Span.sp_pf_wait);
+            cp_trap = sum (fun s -> s.O.Span.sp_trap) };
+        r_by_ds =
+          Hashtbl.fold (fun ds v acc -> (ds, v) :: acc) ds_tbl []
+          |> List.sort (fun (da, a) (db, b) ->
+                 if a <> b then compare b a else compare da db);
+        r_span_count = List.length spans;
+        r_end = !last }
+  end
+
+let test_critical_path_matches_reference =
+  QCheck.Test.make ~name:"critical path equals the sort+Hashtbl reference"
+    ~count:300 arb_span_graph (fun g ->
+      let col = collector_of g in
+      O.Critical_path.analyze col = reference_critical_path col)
+
+(* The post-mortem header counts each recorded span once: a flagged
+   span is in the collector once however the report reaches it. *)
+let test_postmortem_header_counts_distinct_spans () =
+  let cfg =
+    { pressure_cfg with
+      retry_max = 1;
+      fabric_config =
+        { pressure_cfg.fabric_config with
+          Cards_net.Fabric.faults =
+            { Cards_net.Fabric.no_faults with fault_rate = 0.3 } } }
+  in
+  let col = ref None and distinct = ref (-1) and report = ref "" in
+  let reporter =
+    O.Reporter.make (fun text ->
+        report := text;
+        let seen = Hashtbl.create 256 in
+        Option.iter
+          (O.Span.iter (fun sp -> Hashtbl.replace seen sp.O.Span.sp_id ()))
+          !col;
+        distinct := Hashtbl.length seen)
+  in
+  let obs = O.Sink.create ~postmortem:true ~reporter () in
+  col := O.Sink.spans obs;
+  ignore (P.run ~obs (Lazy.force chase) cfg);
+  check Alcotest.bool "the run escalated" true (!distinct > 0);
+  match
+    List.find_opt
+      (fun l -> contains l " spans ")
+      (String.split_on_char '\n' !report)
+  with
+  | None -> Alcotest.fail "no header line"
+  | Some header ->
+    check Alcotest.int "header counts each recorded span once" !distinct
+      (Scanf.sscanf header " %d" Fun.id)
+
 let suite =
   [ Alcotest.test_case "attribution sums to total" `Quick
       test_attribution_sums_to_total;
@@ -1335,7 +1504,6 @@ let suite =
       test_span_well_formed_rejects_forward_edge;
     Alcotest.test_case "critical path on a synthetic chain" `Quick
       test_critical_path_synthetic_chain;
-    Alcotest.test_case "recorder ring bounded" `Quick test_recorder_ring_bound;
     Alcotest.test_case "recorder retains flagged chain" `Quick
       test_recorder_retains_flagged_chain;
     Alcotest.test_case "postmortem latch one-shot" `Quick
@@ -1355,4 +1523,8 @@ let suite =
     Alcotest.test_case "spans folded lines" `Quick test_spans_folded_lines;
     Alcotest.test_case "metrics csv shape" `Quick test_metrics_csv_shape;
     Alcotest.test_case "spans off allocation-free" `Quick
-      test_spans_off_allocation_free ]
+      test_spans_off_allocation_free;
+    QCheck_alcotest.to_alcotest test_span_index_model;
+    QCheck_alcotest.to_alcotest test_critical_path_matches_reference;
+    Alcotest.test_case "postmortem header counts distinct spans" `Quick
+      test_postmortem_header_counts_distinct_spans ]
